@@ -7,21 +7,25 @@
 //
 //	kanond -addr :8080 [-workers 4] [-queue 64] [-job-timeout 5m] [-data-dir /var/lib/kanond]
 //
-// SIGINT/SIGTERM triggers a graceful shutdown: admission stops, running
-// jobs drain for up to -drain, and whatever remains is cancelled.
+// SIGINT/SIGTERM triggers a graceful shutdown: admission stops, the jobs
+// this node admitted keep running for up to -drain, and whatever is
+// still running then is released back to the store for a restart or a
+// peer to finish.
 //
-// With -data-dir, every job is persisted (request, lifecycle manifest,
-// result, and per-block checkpoints for streamed jobs); after a crash,
-// a restart with -recover (the default) re-admits unfinished jobs and
-// resumes streamed jobs from their last completed block.
+// Every job goes through one dispatch path: it is written to a job
+// store (request, lifecycle manifest, journal, trace, result, and
+// per-block checkpoints for streamed jobs) and claimed from there under
+// a renewable lease with a fencing token. Without -data-dir the store
+// lives in memory and nothing survives the process. With -data-dir it
+// is on disk: after a crash, a restart re-claims the unfinished jobs at
+// once and resumes streamed jobs from their last completed block.
 //
-// With -data-dir AND -node-id, kanond runs in cluster mode: any number
-// of kanond processes sharing the same data directory (each with a
-// distinct -node-id) drain one queue together. Jobs are claimed under
-// renewable leases with fencing tokens; when a node dies, its jobs
-// become stealable one -lease-ttl after its last renewal, and streamed
-// jobs continue from the dead node's committed block checkpoints —
-// byte-identically. Any node answers status/result/cancel for any job.
+// Adding -node-id lets any number of kanond processes sharing the same
+// data directory (each with a distinct -node-id) drain one queue
+// together. When a node dies, its jobs become stealable one -lease-ttl
+// after its last renewal, and streamed jobs continue from the dead
+// node's committed block checkpoints — byte-identically. Any node
+// answers status/result/cancel for any job.
 //
 // Adding -replicate-peers removes the shared-directory requirement:
 // each node keeps a private -data-dir and a pull loop converges
@@ -72,14 +76,13 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}, ready ch
 	resultTTL := fs.Duration("result-ttl", 15*time.Minute, "how long finished jobs stay retrievable")
 	maxBody := fs.Int64("max-body", 32<<20, "request body limit in bytes")
 	kernelName := fs.String("kernel", "auto", "default distance kernel for jobs that omit ?kernel=: auto, dense, or bitset (output is identical)")
-	dataDir := fs.String("data-dir", "", "persist jobs (requests, manifests, results, block checkpoints) under this directory; empty keeps everything in memory")
-	recoverJobs := fs.Bool("recover", true, "with -data-dir, re-admit jobs found queued or running on disk at startup and resume their block checkpoints")
-	nodeID := fs.String("node-id", "", "with -data-dir, join the cluster sharing that directory under this identity; empty runs single-node")
+	dataDir := fs.String("data-dir", "", "persist jobs (requests, manifests, journals, traces, results, block checkpoints) under this directory, so a restart re-claims unfinished work; empty keeps everything in memory")
+	nodeID := fs.String("node-id", "", "with -data-dir, join the cluster sharing that directory under this identity; empty runs a cluster of one")
 	replicatePeers := fs.String("replicate-peers", "", "cluster mode without a shared filesystem: comma-separated base URLs of the other nodes; each node keeps a full copy of -data-dir and pulls what it is missing (requires -node-id)")
 	replicateInterval := fs.Duration("replicate-interval", 500*time.Millisecond, "pull-loop interval of the replicated store backend")
-	leaseTTL := fs.Duration("lease-ttl", 15*time.Second, "cluster mode: lease duration per claimed job — the crash-failover delay before peers steal a dead node's work")
-	claimInterval := fs.Duration("claim-interval", 0, "cluster mode: poll interval for foreign work and expired leases (0 = lease-ttl/5, clamped to [50ms, 2s])")
-	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown budget before running jobs are cancelled")
+	leaseTTL := fs.Duration("lease-ttl", 15*time.Second, "lease duration per claimed job — the crash-failover delay before peers steal a dead node's work")
+	claimInterval := fs.Duration("claim-interval", 0, "poll interval for foreign work and expired leases (0 = lease-ttl/5, clamped to [50ms, 2s])")
+	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown budget; jobs still running when it expires are released back to the store")
 	metricsOut := fs.String("metrics-out", "", "write the final telemetry snapshot (Prometheus text) to this file on graceful shutdown")
 	logEvents := fs.Bool("log", true, "emit structured JSON lifecycle events to stderr")
 	version := fs.Bool("version", false, "print build provenance and exit")
@@ -135,7 +138,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}, ready ch
 		Kernel:        kern,
 		Log:           logger,
 		Store:         st,
-		Recover:       *recoverJobs,
 		NodeID:        *nodeID,
 		LeaseTTL:      *leaseTTL,
 		ClaimInterval: *claimInterval,

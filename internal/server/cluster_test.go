@@ -265,7 +265,7 @@ func TestClusterCancelRunningCrossNode(t *testing.T) {
 	if man.Claim.Node == "node-a" {
 		other = mB
 	}
-	st, ok := other.CancelByID(job.ID)
+	st, ok := other.Cancel(job.ID)
 	if !ok {
 		t.Fatalf("cancel via %s: unknown job", other.cfg.NodeID)
 	}
@@ -446,7 +446,7 @@ func TestClusterCancelByIDPaths(t *testing.T) {
 	probe := openStoreAt(t, dir)
 	m := newClusterManager(t, dir, "node-a", func(c *Config) { c.Workers = 1 })
 
-	if _, ok := m.CancelByID("no-such-job"); ok {
+	if _, ok := m.Cancel("no-such-job"); ok {
 		t.Fatal("cancel of unknown id reported ok")
 	}
 
@@ -469,7 +469,7 @@ func TestClusterCancelByIDPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, ok := m.CancelByID(queued.ID)
+	st, ok := m.Cancel(queued.ID)
 	if !ok || st.State != StateCanceled {
 		t.Fatalf("queued cancel: ok=%v state=%v", ok, st.State)
 	}
@@ -477,7 +477,7 @@ func TestClusterCancelByIDPaths(t *testing.T) {
 		t.Fatalf("queued cancel on disk: %v %v", man, err)
 	}
 
-	if _, ok := m.CancelByID(running.ID); !ok {
+	if _, ok := m.Cancel(running.ID); !ok {
 		t.Fatal("running cancel: unknown job")
 	}
 	got := waitManifestState(t, probe, running.ID, store.StateCanceled)

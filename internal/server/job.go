@@ -222,18 +222,19 @@ type Job struct {
 	cancel    func() // non-nil once running; cancels the job's context
 	done      chan struct{}
 
-	// Cluster-mode lease bookkeeping: the fencing token and node of the
-	// claim this run holds, and whether cancellation was requested by a
-	// user (as opposed to a drain deadline, which releases the job back
-	// to the queue instead of cancelling it terminally).
-	fence        uint64
+	// Lease bookkeeping: the node whose claim covers this run (empty for
+	// a manager without a NodeID), whether a user asked for cancellation
+	// (as opposed to a drain deadline, which releases the job back to
+	// the queue instead of cancelling it terminally), and whether this
+	// manager admitted the job — a draining node still runs those.
 	claimNode    string
 	userCanceled bool
+	admitted     bool
 
-	// Observability (store-backed runs): the per-run tracer, live while
-	// this node runs the job, and the trace segments persisted by
-	// earlier runs — captured once at run start so re-flushes never
-	// merge this run's own output back into itself.
+	// Observability: the per-run tracer, live while this node runs the
+	// job, and the trace segments persisted by earlier runs — captured
+	// once at run start so re-flushes never merge this run's own output
+	// back into itself.
 	tracer     *obs.Tracer
 	priorTrace *obs.Snapshot
 }
@@ -340,7 +341,8 @@ type Status struct {
 	// Cost is the suppression objective; present once succeeded.
 	Cost *int `json:"cost,omitempty"`
 	// Node is the cluster node whose lease covers (or covered) the
-	// job's run; empty outside cluster mode and before the first claim.
+	// job's run; empty for a manager without a NodeID and before the
+	// first claim.
 	Node string `json:"node,omitempty"`
 	// Error is the failure or cancellation reason, if terminal and not
 	// succeeded.
@@ -404,3 +406,19 @@ func (j *Job) Result() (*kanon.Result, bool) {
 
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
+
+// settle moves the job to a terminal state and closes its done channel.
+// A job already terminal is left as it is; the return says whether this
+// call made the transition.
+func (j *Job) settle(state State, res *kanon.Result, err error, now time.Time, ttl time.Duration) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state.Terminal() {
+		return false
+	}
+	j.state, j.result, j.err = state, res, err
+	j.finished = now
+	j.expires = now.Add(ttl)
+	close(j.done)
+	return true
+}

@@ -1,11 +1,12 @@
 // Per-job observability: the durable lifecycle journal and the
 // persisted trace timeline.
 //
-// With a Store attached, every job carries two artifacts next to its
-// manifest. events.jsonl is the append-only journal: submitted,
-// claimed, lease renewals/steals, checkpoint commits and resumes,
-// phases, and the terminal event — each line stamped with the node that
-// wrote it, so a stolen job's history names every node that touched it.
+// Every job carries two artifacts next to its manifest — on disk with a
+// disk store, in memory otherwise. events.jsonl is the append-only
+// journal: submitted, claimed, lease renewals/steals, checkpoint commits
+// and resumes, phases, and the terminal event — each line stamped with
+// the node that wrote it, so a stolen job's history names every node
+// that touched it.
 // trace.json is the job's span timeline, flushed at checkpoint commits
 // and terminal transitions; each run captures the previously persisted
 // segments ONCE at start (priorTrace) and merges its own live tracer in
@@ -21,16 +22,13 @@ import (
 	"log/slog"
 
 	"kanon/internal/obs"
+	"kanon/internal/store"
 	"kanon/internal/stream"
 )
 
-// journal returns the job's durable event sink — nil (disabled) without
-// a store, so call sites never branch. Append failures degrade loudly:
-// journaling is observability, it never fails the job.
+// journal returns the job's event sink in the store. Append failures
+// degrade loudly: journaling is observability, it never fails the job.
 func (m *Manager) journal(id string) *obs.Journal {
-	if m.cfg.Store == nil {
-		return nil
-	}
 	return obs.NewJournal(m.cfg.NodeID, func(line []byte) error {
 		return m.cfg.Store.AppendJournal(id, line)
 	}, func(err error) {
@@ -40,23 +38,19 @@ func (m *Manager) journal(id string) *obs.Journal {
 }
 
 // jobObs bundles the observability handles of one run: the root span of
-// this node's trace segment and the job's journal. The zero value is
-// fully disabled (nil-safe all the way down).
+// this node's trace segment and the job's journal.
 type jobObs struct {
 	root    *obs.Span
 	journal *obs.Journal
 }
 
 // startJobObs opens a run's observability: a fresh per-job tracer whose
-// root span names this node ("job@node-a", or "job" single-node), and a
-// one-time capture of any previously persisted trace segments. The
+// root span names this node ("job@node-a", or "job" without a NodeID),
+// and a one-time capture of any previously persisted trace segments. The
 // capture happens once, here, so later flushes merge prior + live and
 // never fold an earlier flush of this same run back into itself.
 func (m *Manager) startJobObs(job *Job) jobObs {
 	o := jobObs{journal: m.journal(job.ID)}
-	if m.cfg.Store == nil {
-		return o
-	}
 	name := "job"
 	if m.cfg.NodeID != "" {
 		name = "job@" + m.cfg.NodeID
@@ -96,7 +90,7 @@ func (m *Manager) jobTraceSnapshot(job *Job) *obs.Snapshot {
 // flush is a strictly fuller view of the same run.
 func (m *Manager) flushJobTrace(job *Job) {
 	snap := m.jobTraceSnapshot(job)
-	if snap == nil || m.cfg.Store == nil {
+	if snap == nil {
 		return
 	}
 	b, err := json.Marshal(snap)
@@ -112,7 +106,7 @@ func (m *Manager) flushJobTrace(job *Job) {
 // the final timeline (unless the lease was lost — the thief owns
 // trace.json now and a late flush would clobber its fuller view), and
 // detach the tracer so TraceOf reads the persisted file from here on.
-// Returns the final merged timeline (nil without a store).
+// Returns the final merged timeline.
 func (m *Manager) finishJobObs(job *Job, o jobObs, persist bool) *obs.Snapshot {
 	o.root.End()
 	snap := m.jobTraceSnapshot(job)
@@ -125,38 +119,36 @@ func (m *Manager) finishJobObs(job *Job, o jobObs, persist bool) *obs.Snapshot {
 	return snap
 }
 
-// journalCheckpoint wraps the store-backed stream checkpoint with the
-// journal and trace hooks: every committed block appends a
-// checkpoint_committed event and flushes the trace (so a thief resuming
-// from this block also inherits the timeline up to it), and every
+// journalCheckpoint wraps the job's stream checkpoint with the journal
+// and trace hooks: every committed block appends a checkpoint_committed
+// event and flushes the trace before its stat marker lands, so a thief
+// resuming from this block also inherits the timeline up to it; every
 // replayed block appends checkpoint_resumed — the durable record that a
 // resume actually reused the dead node's work.
 type journalCheckpoint struct {
-	inner    stream.Checkpoint
-	m        *Manager
-	job      *Job
-	jr       *obs.Journal
-	resumed  int
-	commited int
+	inner *store.Checkpoint
+	m     *Manager
+	job   *Job
+	jr    *obs.Journal
 }
 
+// Save commits one block: rows, journal line, trace flush, and only then
+// the stat marker that makes the block replayable.
 func (c *journalCheckpoint) Save(stat stream.BlockStat, rows [][]string) error {
-	if err := c.inner.Save(stat, rows); err != nil {
+	if err := c.inner.SaveRows(stat, rows); err != nil {
 		return err
 	}
-	c.commited++
 	c.jr.Record(obs.JournalEvent{
 		Event:  obs.EvCheckpointCommitted,
 		Detail: fmt.Sprintf("block [%d,%d) cost=%d", stat.Lo, stat.Hi, stat.Cost),
 	})
 	c.m.flushJobTrace(c.job)
-	return nil
+	return c.inner.Commit(stat)
 }
 
 func (c *journalCheckpoint) Load(lo, hi int) ([][]string, *stream.BlockStat, bool, error) {
 	rows, stat, ok, err := c.inner.Load(lo, hi)
 	if ok && err == nil {
-		c.resumed++
 		c.jr.Record(obs.JournalEvent{
 			Event:  obs.EvCheckpointResumed,
 			Detail: fmt.Sprintf("block [%d,%d)", lo, hi),
@@ -166,29 +158,22 @@ func (c *journalCheckpoint) Load(lo, hi int) ([][]string, *stream.BlockStat, boo
 }
 
 // jobKnown reports whether the ID names a job this node can answer for:
-// held in memory, or present in the shared store.
+// held locally, or present in the store.
 func (m *Manager) jobKnown(id string) bool {
-	if _, ok := m.Get(id); ok {
+	if _, ok := m.lookup(id); ok {
 		return true
 	}
-	if m.cfg.Store != nil {
-		if _, err := m.cfg.Store.ReadManifest(id); err == nil {
-			return true
-		}
-	}
-	return false
+	_, err := m.cfg.Store.ReadManifest(id)
+	return err == nil
 }
 
 // EventsOf returns the job's decoded journal, reading through the store
 // like StatusOf so any node answers for any job. The second return is
-// false for unknown IDs; a known job without a journal (no store, or
-// nothing recorded yet) answers an empty list.
+// false for unknown IDs; a known job with nothing recorded yet answers
+// an empty list.
 func (m *Manager) EventsOf(id string) ([]obs.JournalEvent, bool) {
 	if !m.jobKnown(id) {
 		return nil, false
-	}
-	if m.cfg.Store == nil {
-		return nil, true
 	}
 	b, err := m.cfg.Store.ReadJournal(id)
 	if err != nil {
@@ -210,7 +195,7 @@ func (m *Manager) EventsOf(id string) ([]obs.JournalEvent, bool) {
 // otherwise. The second return is false for unknown IDs; a known job
 // with no timeline yet answers an empty snapshot.
 func (m *Manager) TraceOf(id string) (*obs.Snapshot, bool) {
-	if j, ok := m.Get(id); ok {
+	if j, ok := m.lookup(id); ok {
 		if snap := m.jobTraceSnapshot(j); snap != nil {
 			return snap, true
 		}
@@ -218,14 +203,12 @@ func (m *Manager) TraceOf(id string) (*obs.Snapshot, bool) {
 	if !m.jobKnown(id) {
 		return nil, false
 	}
-	if m.cfg.Store != nil {
-		if b, err := m.cfg.Store.ReadTrace(id); err == nil && len(b) > 0 {
-			var snap obs.Snapshot
-			if err := json.Unmarshal(b, &snap); err == nil {
-				return &snap, true
-			}
-			m.logBare(slog.LevelWarn, "trace_corrupt", slog.String("run_id", id))
+	if b, err := m.cfg.Store.ReadTrace(id); err == nil && len(b) > 0 {
+		var snap obs.Snapshot
+		if err := json.Unmarshal(b, &snap); err == nil {
+			return &snap, true
 		}
+		m.logBare(slog.LevelWarn, "trace_corrupt", slog.String("run_id", id))
 	}
 	return &obs.Snapshot{}, true
 }

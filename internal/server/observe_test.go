@@ -1,15 +1,21 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"kanon"
+	"kanon/internal/dataset"
 	"kanon/internal/obs"
 	"kanon/internal/store"
+	"kanon/internal/stream"
 )
 
 // getJSON fetches url and decodes the body into out, returning the
@@ -92,30 +98,27 @@ func TestJournalLifecycleSingleNode(t *testing.T) {
 	}
 }
 
-// TestEventsWithoutStore: an in-memory server still answers both
-// endpoints for known jobs — empty list, empty snapshot — rather than
-// pretending the job does not exist.
+// TestEventsWithoutStore: a storeless server journals and traces every
+// job in its in-memory store, so both endpoints answer known jobs with
+// the real lifecycle rather than pretending the job does not exist.
 func TestEventsWithoutStore(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	jobSt, _ := submit(t, ts, "k=2", sampleCSV)
 	pollUntil(t, ts, jobSt.ID, 30e9, func(s Status) bool { return s.State == StateSucceeded })
 
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + jobSt.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
+	var events []obs.JournalEvent
+	if code := getJSON(t, ts.URL+"/v1/jobs/"+jobSt.ID+"/events", &events); code != http.StatusOK {
+		t.Errorf("events without store: %d, want 200", code)
 	}
-	body := make([]byte, 16)
-	n, _ := resp.Body.Read(body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || strings.TrimSpace(string(body[:n])) != "[]" {
-		t.Errorf("events without store: %d %q, want 200 []", resp.StatusCode, body[:n])
+	if eventIndex(events, obs.EvSubmitted) < 0 || eventIndex(events, obs.EvSucceeded) < 0 {
+		t.Errorf("events without store lack the lifecycle: %+v", events)
 	}
 	var snap obs.Snapshot
 	if code := getJSON(t, ts.URL+"/v1/jobs/"+jobSt.ID+"/trace", &snap); code != http.StatusOK {
 		t.Errorf("trace without store: %d, want 200", code)
 	}
-	if len(snap.Spans) != 0 {
-		t.Errorf("trace without store has spans: %+v", snap.Spans)
+	if len(snap.Spans) != 1 || snap.Spans[0].Name != "job" {
+		t.Errorf("trace without store roots = %+v, want one root named job", snap.Spans)
 	}
 }
 
@@ -133,7 +136,7 @@ func TestCanceledJobJournalsTerminalEvent(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitRunning(t, m, job.ID)
-	if _, ok := m.CancelByID(job.ID); !ok {
+	if _, ok := m.Cancel(job.ID); !ok {
 		t.Fatal("cancel refused")
 	}
 	<-job.Done()
@@ -197,4 +200,87 @@ func waitRunning(t *testing.T, m *Manager, id string) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("job %s never started running", id)
+}
+
+// recordingBackend logs every file write a Backend commits, in order.
+type recordingBackend struct {
+	store.Backend
+	mu     sync.Mutex
+	writes []recordedWrite
+}
+
+type recordedWrite struct {
+	rel  string
+	data []byte
+}
+
+func (r *recordingBackend) WriteAtomic(rel string, data []byte) error {
+	if err := r.Backend.WriteAtomic(rel, data); err != nil {
+		return err
+	}
+	r.mu.Lock()
+	r.writes = append(r.writes, recordedWrite{rel, append([]byte(nil), data...)})
+	r.mu.Unlock()
+	return nil
+}
+
+// TestCheckpointMarkerIsLastWrite pins the block-commit order: the
+// block's rows, then its journal line, then a trace flush, and only then
+// the stat marker that makes the block replayable — so a node killed the
+// moment a marker appears has already persisted the journal and trace a
+// thief resuming from that block inherits.
+func TestCheckpointMarkerIsLastWrite(t *testing.T) {
+	local, err := store.NewLocal(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &recordingBackend{Backend: local}
+	st, err := store.OpenBackend(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newTestManager(t, Config{Workers: 1, Store: st})
+	header, rows := renderTable(dataset.Census(rand.New(rand.NewSource(58)), 60, 4))
+	job, err := m.Submit(header, rows, JobRequest{K: 3, Algorithm: kanon.AlgoGreedyBall, BlockRows: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, job)
+	if st := job.Status(); st.State != StateSucceeded {
+		t.Fatalf("job did not succeed: %+v", st)
+	}
+
+	rec.mu.Lock()
+	writes := rec.writes
+	rec.mu.Unlock()
+	markers := 0
+	for i, w := range writes {
+		if !strings.HasSuffix(w.rel, ".stat.json") {
+			continue
+		}
+		markers++
+		var stat stream.BlockStat
+		if err := json.Unmarshal(w.data, &stat); err != nil {
+			t.Fatal(err)
+		}
+		line := []byte(fmt.Sprintf("block [%d,%d) cost=", stat.Lo, stat.Hi))
+		rowsAt, journalAt, traceAt := -1, -1, -1
+		for j, prev := range writes[:i] {
+			switch {
+			case prev.rel == strings.TrimSuffix(w.rel, ".stat.json")+".csv":
+				rowsAt = j
+			case strings.HasSuffix(prev.rel, "/events.jsonl") && journalAt < 0 && bytes.Contains(prev.data, line):
+				journalAt = j
+			case strings.HasSuffix(prev.rel, "/trace.json"):
+				traceAt = j
+			}
+		}
+		if rowsAt < 0 || journalAt < rowsAt || traceAt < journalAt {
+			t.Errorf("block [%d,%d): rows at %d, journal at %d, trace at %d, marker at %d; want rows < journal < trace < marker",
+				stat.Lo, stat.Hi, rowsAt, journalAt, traceAt, i)
+		}
+	}
+	if markers != 3 {
+		t.Fatalf("%d block markers written, want 3", markers)
+	}
 }

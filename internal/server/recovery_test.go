@@ -70,7 +70,7 @@ func TestRecoverQueuedJob(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m := newTestManager(t, Config{Store: st, Recover: true})
+	m := newTestManager(t, Config{Store: st})
 	job, ok := m.Get("crashed-q")
 	if !ok {
 		t.Fatal("recovered job not in manager")
@@ -160,7 +160,7 @@ func TestRecoverCrashedStreamJob(t *testing.T) {
 		t.Fatal("no checkpoints removed; crash simulation is vacuous")
 	}
 
-	m2 := newTestManager(t, Config{Store: st, Recover: true, ResultTTL: time.Hour})
+	m2 := newTestManager(t, Config{Store: st, ResultTTL: time.Hour})
 	job2, ok := m2.Get(job1.ID)
 	if !ok {
 		t.Fatal("crashed job not recovered")
@@ -222,7 +222,7 @@ func TestTerminalJobsSurviveRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m2 := newTestManager(t, Config{Store: st, Recover: true, ResultTTL: time.Hour})
+	m2 := newTestManager(t, Config{Store: st, ResultTTL: time.Hour})
 	re, ok := m2.Get(job.ID)
 	if !ok {
 		t.Fatal("succeeded job gone after restart")
@@ -248,25 +248,6 @@ func TestTerminalJobsSurviveRestart(t *testing.T) {
 	// Recovered terminal jobs must not be re-run or re-counted.
 	if got := m2.Snapshot().Counters["server.jobs_recovered"]; got != 0 {
 		t.Errorf("jobs_recovered = %d, want 0", got)
-	}
-}
-
-// TestRecoverDisabled: with Recover off, the store persists but nothing
-// is re-admitted.
-func TestRecoverDisabled(t *testing.T) {
-	st := openTestStore(t)
-	rng := rand.New(rand.NewSource(54))
-	header, rows := renderTable(dataset.Census(rng, 20, 3))
-	man := &store.Manifest{
-		ID: "orphan", State: store.StateQueued, K: 2, Algo: "ball",
-		Rows: len(rows), Cols: len(header), SubmittedAt: time.Now().UTC(),
-	}
-	if err := st.CreateJob(man, header, rows); err != nil {
-		t.Fatal(err)
-	}
-	m := newTestManager(t, Config{Store: st, Recover: false})
-	if _, ok := m.Get("orphan"); ok {
-		t.Error("job recovered with Recover: false")
 	}
 }
 
@@ -344,5 +325,61 @@ func TestJanitorReapsDirectories(t *testing.T) {
 			t.Fatalf("job not reaped: in-memory=%v, dir err=%v", inMem, statErr)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestRestartReclaimsOwnLease: a cluster node restarted under the same
+// NodeID re-claims the job its previous life was running at once, long
+// before that life's lease would expire — restart recovery does not
+// wait out LeaseTTL.
+func TestRestartReclaimsOwnLease(t *testing.T) {
+	dir := t.TempDir()
+	header, rows, direct := smallInstance(t, 57)
+	probe := openStoreAt(t, dir)
+	man := &store.Manifest{
+		ID: "mid-run", State: store.StateQueued, K: 3, Algo: "ball",
+		Rows: len(rows), Cols: len(header), SubmittedAt: time.Now().UTC(),
+	}
+	if err := probe.CreateJob(man, header, rows); err != nil {
+		t.Fatal(err)
+	}
+	// The previous life claimed it under an hour-long lease, then died.
+	if _, _, err := probe.ClaimJob("mid-run", "node-a", time.Hour, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+
+	start := time.Now()
+	m := newClusterManager(t, dir, "node-a", func(c *Config) { c.LeaseTTL = time.Hour })
+	got := waitManifestState(t, probe, "mid-run", store.StateSucceeded)
+	if wait := time.Since(start); wait > 20*time.Second {
+		t.Errorf("re-claim took %v", wait)
+	}
+	if got.Fence != 2 {
+		t.Errorf("fence after re-claim = %d, want 2", got.Fence)
+	}
+	if n := m.Snapshot().Counters["server.jobs_recovered"]; n != 1 {
+		t.Errorf("jobs_recovered = %d, want 1", n)
+	}
+	h, r, err := m.ResultBytes("mid-run")
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameRelease(t, h, r, direct)
+
+	// A live lease of another node is still left alone.
+	other := &store.Manifest{
+		ID: "peer-run", State: store.StateQueued, K: 3, Algo: "ball",
+		Rows: len(rows), Cols: len(header), SubmittedAt: time.Now().UTC(),
+	}
+	if err := probe.CreateJob(other, header, rows); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := probe.ClaimJob("peer-run", "node-b", time.Hour, time.Now().Add(-time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	m.pokeClaim()
+	time.Sleep(100 * time.Millisecond)
+	if pm, err := probe.ReadManifest("peer-run"); err != nil || pm.Claim == nil || pm.Claim.Node != "node-b" {
+		t.Fatalf("peer's live lease disturbed: %+v %v", pm, err)
 	}
 }

@@ -1,7 +1,10 @@
 // Package server exposes the kanon pipeline as a long-running HTTP
 // service: a bounded job queue with admission control, a worker pool
-// running the anonymization algorithms under per-job deadlines, an
-// in-memory result store with TTL eviction, and graceful shutdown.
+// running the anonymization algorithms under per-job deadlines, a job
+// store (on disk, or in memory) with TTL eviction, and graceful
+// shutdown. There is one dispatch path: jobs are claimed from the
+// store under leases (lease.go), whether one manager runs over it or a
+// cluster of them.
 //
 // The HTTP surface:
 //
@@ -53,10 +56,10 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleTrace)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	if m.cfg.Store != nil {
+	if cfg.Store != nil {
 		// Replication surface: what this node's store shows its peers.
-		// Registered whenever a store exists — a shared-directory cluster
-		// simply never gets polled.
+		// Registered whenever the operator supplied a store — a
+		// shared-directory cluster simply never gets polled.
 		mux.HandleFunc("GET /v1/replica/jobs", s.handleReplicaJobs)
 		mux.HandleFunc("GET /v1/replica/jobs/{id}/file", s.handleReplicaFile)
 	}
@@ -193,10 +196,10 @@ func (s *Server) handleReplicaFile(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(b)
 }
 
-// handleStatus serves a job's lifecycle snapshot. In cluster mode the
-// lookup reads through to the shared store, so any node answers for
-// any job in the cluster — including jobs submitted to, or finished
-// by, a node that no longer exists.
+// handleStatus serves a job's lifecycle snapshot. The lookup reads
+// through to the store, so any node answers for any job sharing it —
+// including jobs submitted to, or finished by, a node that no longer
+// exists.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	st, ok := s.m.StatusOf(r.PathValue("id"))
 	if !ok {
@@ -208,8 +211,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 // handleResult streams the anonymized CSV of a succeeded job. A job in
 // any other state answers 409 with its status, so pollers can
-// distinguish "not yet" from "never". Cluster mode serves foreign
-// results from the store's result spool.
+// distinguish "not yet" from "never". Results this node did not compute
+// come from the store's result spool.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	st, ok := s.m.StatusOf(id)
@@ -263,12 +266,12 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCancel requests cancellation and answers with the job's
-// (possibly still running) status. In cluster mode the request reaches
-// jobs anywhere: queued jobs cancel on the spot wherever they were
-// submitted, and a job running on another node is flagged through the
-// store for its lease holder to notice at the next renewal.
+// (possibly still running) status. The request reaches jobs anywhere:
+// queued jobs cancel on the spot wherever they were submitted, and a
+// job running on another node is flagged through the store for its
+// lease holder to notice at the next renewal.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.m.CancelByID(r.PathValue("id"))
+	st, ok := s.m.Cancel(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, errUnknownJob)
 		return

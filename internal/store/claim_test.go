@@ -10,256 +10,257 @@ import (
 	"time"
 )
 
-// openClaimStore opens a store with a job already persisted queued.
-func openClaimStore(t *testing.T, ids ...string) *Store {
-	t.Helper()
+func TestClaimLifecycle(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, s *Store, _ func() *Store) {
+		seedJobs(t, s, "job-1")
+		now := time.Date(2026, 8, 1, 10, 0, 0, 0, time.UTC)
+		ttl := time.Minute
+
+		m, stolen, err := s.ClaimJob("job-1", "node-a", ttl, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stolen {
+			t.Error("claiming a queued job reported stolen")
+		}
+		if m.State != StateRunning || m.Fence != 1 || m.Claim == nil ||
+			m.Claim.Node != "node-a" || !m.Claim.Expires.Equal(now.Add(ttl)) {
+			t.Fatalf("claimed manifest wrong: %+v claim %+v", m, m.Claim)
+		}
+		if m.StartedAt == nil || !m.StartedAt.Equal(now) {
+			t.Errorf("claim did not stamp StartedAt: %v", m.StartedAt)
+		}
+
+		// A live lease blocks other claimers.
+		if _, _, err := s.ClaimJob("job-1", "node-b", ttl, now.Add(time.Second)); !errors.Is(err, ErrNotClaimable) {
+			t.Fatalf("second claim under a live lease: err = %v, want ErrNotClaimable", err)
+		}
+
+		// The owner renews; the deadline moves.
+		m, err = s.RenewLease("job-1", "node-a", 1, ttl, now.Add(30*time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !m.Claim.Expires.Equal(now.Add(90 * time.Second)) {
+			t.Errorf("renew deadline = %v", m.Claim.Expires)
+		}
+
+		// The owner finishes; the claim clears, the fence survives.
+		cost := 2
+		m, err = s.UpdateClaimed("job-1", "node-a", 1, func(m *Manifest) error {
+			m.State = StateSucceeded
+			m.Cost = &cost
+			fin := now.Add(time.Minute)
+			m.FinishedAt = &fin
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.State != StateSucceeded || m.Claim != nil || m.Fence != 1 {
+			t.Fatalf("terminal manifest wrong: %+v", m)
+		}
+
+		// Terminal jobs are not claimable.
+		if _, _, err := s.ClaimJob("job-1", "node-b", ttl, now.Add(2*time.Minute)); !errors.Is(err, ErrNotClaimable) {
+			t.Fatalf("claim of terminal job: err = %v, want ErrNotClaimable", err)
+		}
+	})
+}
+
+func TestClaimStealAfterExpiryFencesOldOwner(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, s *Store, _ func() *Store) {
+		seedJobs(t, s, "job-1")
+		now := time.Date(2026, 8, 1, 10, 0, 0, 0, time.UTC)
+
+		if _, _, err := s.ClaimJob("job-1", "node-a", time.Second, now); err != nil {
+			t.Fatal(err)
+		}
+		// Before expiry: not stealable.
+		if _, _, err := s.ClaimJob("job-1", "node-b", time.Second, now.Add(500*time.Millisecond)); !errors.Is(err, ErrNotClaimable) {
+			t.Fatalf("pre-expiry steal: err = %v", err)
+		}
+		// At/after expiry: stolen, fence bumps.
+		m, stolen, err := s.ClaimJob("job-1", "node-b", time.Minute, now.Add(time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !stolen || m.Fence != 2 || m.Claim.Node != "node-b" {
+			t.Fatalf("steal wrong: stolen=%v %+v claim %+v", stolen, m, m.Claim)
+		}
+
+		// Every write path of the displaced owner is a fenced no-op.
+		if _, err := s.RenewLease("job-1", "node-a", 1, time.Minute, now.Add(2*time.Second)); !errors.Is(err, ErrFenced) {
+			t.Errorf("stale renew: err = %v, want ErrFenced", err)
+		}
+		if _, err := s.UpdateClaimed("job-1", "node-a", 1, func(m *Manifest) error {
+			m.State = StateFailed
+			return nil
+		}); !errors.Is(err, ErrFenced) {
+			t.Errorf("stale update: err = %v, want ErrFenced", err)
+		}
+		if _, err := s.ReleaseJob("job-1", "node-a", 1); !errors.Is(err, ErrFenced) {
+			t.Errorf("stale release: err = %v, want ErrFenced", err)
+		}
+		// None of those touched the new owner's claim.
+		m2, err := s.ReadManifest("job-1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m2.State != StateRunning || m2.Fence != 2 || m2.Claim == nil || m2.Claim.Node != "node-b" {
+			t.Fatalf("stale writers changed the manifest: %+v claim %+v", m2, m2.Claim)
+		}
+	})
+}
+
+func TestClaimOrphanedRunningJob(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, s *Store, _ func() *Store) {
+		// A running manifest without a claim is an orphan from a pre-cluster
+		// crash; it is immediately claimable and reported as stolen.
+		m := testManifest("job-1")
+		m.State = StateRunning
+		if err := s.CreateJob(m, []string{"a"}, [][]string{{"1"}, {"2"}, {"3"}}); err != nil {
+			t.Fatal(err)
+		}
+		got, stolen, err := s.ClaimJob("job-1", "node-a", time.Minute, time.Now())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !stolen || got.Fence != 1 {
+			t.Fatalf("orphan claim: stolen=%v fence=%d", stolen, got.Fence)
+		}
+	})
+}
+
+func TestReleaseMakesJobReclaimable(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, s *Store, _ func() *Store) {
+		seedJobs(t, s, "job-1")
+		now := time.Now()
+		if _, _, err := s.ClaimJob("job-1", "node-a", time.Minute, now); err != nil {
+			t.Fatal(err)
+		}
+		m, err := s.ReleaseJob("job-1", "node-a", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.State != StateQueued || m.Claim != nil || m.StartedAt != nil || m.Fence != 1 {
+			t.Fatalf("released manifest wrong: %+v", m)
+		}
+		m, stolen, err := s.ClaimJob("job-1", "node-b", time.Minute, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stolen || m.Fence != 2 || m.Claim.Node != "node-b" {
+			t.Fatalf("re-claim after release: stolen=%v %+v", stolen, m)
+		}
+	})
+}
+
+func TestRequestCancel(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, s *Store, _ func() *Store) {
+		now := time.Now()
+		seedJobs(t, s, "queued-1", "running-1")
+
+		m, err := s.RequestCancel("queued-1", "context canceled", now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.State != StateCanceled || m.Error != "context canceled" || m.FinishedAt == nil {
+			t.Fatalf("queued cancel: %+v", m)
+		}
+
+		if _, _, err := s.ClaimJob("running-1", "node-a", time.Minute, now); err != nil {
+			t.Fatal(err)
+		}
+		m, err = s.RequestCancel("running-1", "context canceled", now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.State != StateRunning || !m.CancelRequested {
+			t.Fatalf("running cancel: %+v", m)
+		}
+		// The owner sees the flag ride back on its next renewal.
+		m, err = s.RenewLease("running-1", "node-a", 1, time.Minute, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !m.CancelRequested {
+			t.Error("renewal did not surface CancelRequested")
+		}
+
+		// Cancelling a terminal job is a no-op.
+		if _, err := s.UpdateClaimed("running-1", "node-a", 1, func(m *Manifest) error {
+			m.State = StateCanceled
+			m.Error = "context canceled"
+			fin := now
+			m.FinishedAt = &fin
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		m, err = s.RequestCancel("running-1", "again", now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.State != StateCanceled || m.Error != "context canceled" {
+			t.Fatalf("terminal cancel mutated the job: %+v", m)
+		}
+	})
+}
+
+func TestReapTerminalOnlyReapsExpiredTerminal(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, s *Store, _ func() *Store) {
+		now := time.Now()
+		seedJobs(t, s, "job-1")
+
+		// Queued: not reapable — and, critically, still claimable after the
+		// refused reap (the lease-before-reap fix: reap and claim serialize
+		// on the same lock, so neither can half-win).
+		if reaped, err := s.ReapTerminal("job-1", now); err != nil || reaped {
+			t.Fatalf("reap of queued job: reaped=%v err=%v", reaped, err)
+		}
+		if _, _, err := s.ClaimJob("job-1", "node-a", time.Minute, now); err != nil {
+			t.Fatal(err)
+		}
+		if reaped, err := s.ReapTerminal("job-1", now); err != nil || reaped {
+			t.Fatalf("reap of running job: reaped=%v err=%v", reaped, err)
+		}
+
+		fin := now.Add(-time.Hour)
+		if _, err := s.UpdateClaimed("job-1", "node-a", 1, func(m *Manifest) error {
+			m.State = StateSucceeded
+			m.FinishedAt = &fin
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		// Finished an hour ago; cutoff before that → too fresh.
+		if reaped, err := s.ReapTerminal("job-1", now.Add(-2*time.Hour)); err != nil || reaped {
+			t.Fatalf("reap before cutoff: reaped=%v err=%v", reaped, err)
+		}
+		if reaped, err := s.ReapTerminal("job-1", now); err != nil || !reaped {
+			t.Fatalf("reap of expired terminal: reaped=%v err=%v", reaped, err)
+		}
+		if entries, err := s.Backend().List("jobs"); err != nil || len(entries) != 0 {
+			t.Fatalf("job directory survived the reap: %+v %v", entries, err)
+		}
+		// Idempotent, and the gone job is cleanly unclaimable.
+		if reaped, err := s.ReapTerminal("job-1", now); err != nil || reaped {
+			t.Fatalf("second reap: reaped=%v err=%v", reaped, err)
+		}
+		if _, _, err := s.ClaimJob("job-1", "node-a", time.Minute, now); err == nil {
+			t.Fatal("claim of reaped job succeeded")
+		}
+	})
+}
+
+// TestStaleLockBroken ages a lock file on disk, so it runs on Local only.
+func TestStaleLockBroken(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range ids {
-		if err := s.CreateJob(testManifest(id), []string{"a", "b"}, [][]string{{"1", "2"}, {"3", "4"}, {"5", "6"}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return s
-}
-
-func TestClaimLifecycle(t *testing.T) {
-	s := openClaimStore(t, "job-1")
-	now := time.Date(2026, 8, 1, 10, 0, 0, 0, time.UTC)
-	ttl := time.Minute
-
-	m, stolen, err := s.ClaimJob("job-1", "node-a", ttl, now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stolen {
-		t.Error("claiming a queued job reported stolen")
-	}
-	if m.State != StateRunning || m.Fence != 1 || m.Claim == nil ||
-		m.Claim.Node != "node-a" || !m.Claim.Expires.Equal(now.Add(ttl)) {
-		t.Fatalf("claimed manifest wrong: %+v claim %+v", m, m.Claim)
-	}
-	if m.StartedAt == nil || !m.StartedAt.Equal(now) {
-		t.Errorf("claim did not stamp StartedAt: %v", m.StartedAt)
-	}
-
-	// A live lease blocks other claimers.
-	if _, _, err := s.ClaimJob("job-1", "node-b", ttl, now.Add(time.Second)); !errors.Is(err, ErrNotClaimable) {
-		t.Fatalf("second claim under a live lease: err = %v, want ErrNotClaimable", err)
-	}
-
-	// The owner renews; the deadline moves.
-	m, err = s.RenewLease("job-1", "node-a", 1, ttl, now.Add(30*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Claim.Expires.Equal(now.Add(90 * time.Second)) {
-		t.Errorf("renew deadline = %v", m.Claim.Expires)
-	}
-
-	// The owner finishes; the claim clears, the fence survives.
-	cost := 2
-	m, err = s.UpdateClaimed("job-1", "node-a", 1, func(m *Manifest) error {
-		m.State = StateSucceeded
-		m.Cost = &cost
-		fin := now.Add(time.Minute)
-		m.FinishedAt = &fin
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.State != StateSucceeded || m.Claim != nil || m.Fence != 1 {
-		t.Fatalf("terminal manifest wrong: %+v", m)
-	}
-
-	// Terminal jobs are not claimable.
-	if _, _, err := s.ClaimJob("job-1", "node-b", ttl, now.Add(2*time.Minute)); !errors.Is(err, ErrNotClaimable) {
-		t.Fatalf("claim of terminal job: err = %v, want ErrNotClaimable", err)
-	}
-}
-
-func TestClaimStealAfterExpiryFencesOldOwner(t *testing.T) {
-	s := openClaimStore(t, "job-1")
-	now := time.Date(2026, 8, 1, 10, 0, 0, 0, time.UTC)
-
-	if _, _, err := s.ClaimJob("job-1", "node-a", time.Second, now); err != nil {
-		t.Fatal(err)
-	}
-	// Before expiry: not stealable.
-	if _, _, err := s.ClaimJob("job-1", "node-b", time.Second, now.Add(500*time.Millisecond)); !errors.Is(err, ErrNotClaimable) {
-		t.Fatalf("pre-expiry steal: err = %v", err)
-	}
-	// At/after expiry: stolen, fence bumps.
-	m, stolen, err := s.ClaimJob("job-1", "node-b", time.Minute, now.Add(time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stolen || m.Fence != 2 || m.Claim.Node != "node-b" {
-		t.Fatalf("steal wrong: stolen=%v %+v claim %+v", stolen, m, m.Claim)
-	}
-
-	// Every write path of the displaced owner is a fenced no-op.
-	if _, err := s.RenewLease("job-1", "node-a", 1, time.Minute, now.Add(2*time.Second)); !errors.Is(err, ErrFenced) {
-		t.Errorf("stale renew: err = %v, want ErrFenced", err)
-	}
-	if _, err := s.UpdateClaimed("job-1", "node-a", 1, func(m *Manifest) error {
-		m.State = StateFailed
-		return nil
-	}); !errors.Is(err, ErrFenced) {
-		t.Errorf("stale update: err = %v, want ErrFenced", err)
-	}
-	if _, err := s.ReleaseJob("job-1", "node-a", 1); !errors.Is(err, ErrFenced) {
-		t.Errorf("stale release: err = %v, want ErrFenced", err)
-	}
-	// None of those touched the new owner's claim.
-	m2, err := s.ReadManifest("job-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.State != StateRunning || m2.Fence != 2 || m2.Claim == nil || m2.Claim.Node != "node-b" {
-		t.Fatalf("stale writers changed the manifest: %+v claim %+v", m2, m2.Claim)
-	}
-}
-
-func TestClaimOrphanedRunningJob(t *testing.T) {
-	// A running manifest without a claim is an orphan from a pre-cluster
-	// crash; it is immediately claimable and reported as stolen.
-	s := openClaimStore(t)
-	m := testManifest("job-1")
-	m.State = StateRunning
-	if err := s.CreateJob(m, []string{"a"}, [][]string{{"1"}, {"2"}, {"3"}}); err != nil {
-		t.Fatal(err)
-	}
-	got, stolen, err := s.ClaimJob("job-1", "node-a", time.Minute, time.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stolen || got.Fence != 1 {
-		t.Fatalf("orphan claim: stolen=%v fence=%d", stolen, got.Fence)
-	}
-}
-
-func TestReleaseMakesJobReclaimable(t *testing.T) {
-	s := openClaimStore(t, "job-1")
-	now := time.Now()
-	if _, _, err := s.ClaimJob("job-1", "node-a", time.Minute, now); err != nil {
-		t.Fatal(err)
-	}
-	m, err := s.ReleaseJob("job-1", "node-a", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.State != StateQueued || m.Claim != nil || m.StartedAt != nil || m.Fence != 1 {
-		t.Fatalf("released manifest wrong: %+v", m)
-	}
-	m, stolen, err := s.ClaimJob("job-1", "node-b", time.Minute, now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stolen || m.Fence != 2 || m.Claim.Node != "node-b" {
-		t.Fatalf("re-claim after release: stolen=%v %+v", stolen, m)
-	}
-}
-
-func TestRequestCancel(t *testing.T) {
-	now := time.Now()
-	s := openClaimStore(t, "queued-1", "running-1")
-
-	m, err := s.RequestCancel("queued-1", "context canceled", now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.State != StateCanceled || m.Error != "context canceled" || m.FinishedAt == nil {
-		t.Fatalf("queued cancel: %+v", m)
-	}
-
-	if _, _, err := s.ClaimJob("running-1", "node-a", time.Minute, now); err != nil {
-		t.Fatal(err)
-	}
-	m, err = s.RequestCancel("running-1", "context canceled", now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.State != StateRunning || !m.CancelRequested {
-		t.Fatalf("running cancel: %+v", m)
-	}
-	// The owner sees the flag ride back on its next renewal.
-	m, err = s.RenewLease("running-1", "node-a", 1, time.Minute, now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.CancelRequested {
-		t.Error("renewal did not surface CancelRequested")
-	}
-
-	// Cancelling a terminal job is a no-op.
-	if _, err := s.UpdateClaimed("running-1", "node-a", 1, func(m *Manifest) error {
-		m.State = StateCanceled
-		m.Error = "context canceled"
-		fin := now
-		m.FinishedAt = &fin
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	m, err = s.RequestCancel("running-1", "again", now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.State != StateCanceled || m.Error != "context canceled" {
-		t.Fatalf("terminal cancel mutated the job: %+v", m)
-	}
-}
-
-func TestReapTerminalOnlyReapsExpiredTerminal(t *testing.T) {
-	now := time.Now()
-	s := openClaimStore(t, "job-1")
-
-	// Queued: not reapable — and, critically, still claimable after the
-	// refused reap (the lease-before-reap fix: reap and claim serialize
-	// on the same lock, so neither can half-win).
-	if reaped, err := s.ReapTerminal("job-1", now); err != nil || reaped {
-		t.Fatalf("reap of queued job: reaped=%v err=%v", reaped, err)
-	}
-	if _, _, err := s.ClaimJob("job-1", "node-a", time.Minute, now); err != nil {
-		t.Fatal(err)
-	}
-	if reaped, err := s.ReapTerminal("job-1", now); err != nil || reaped {
-		t.Fatalf("reap of running job: reaped=%v err=%v", reaped, err)
-	}
-
-	fin := now.Add(-time.Hour)
-	if _, err := s.UpdateClaimed("job-1", "node-a", 1, func(m *Manifest) error {
-		m.State = StateSucceeded
-		m.FinishedAt = &fin
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Finished an hour ago; cutoff before that → too fresh.
-	if reaped, err := s.ReapTerminal("job-1", now.Add(-2*time.Hour)); err != nil || reaped {
-		t.Fatalf("reap before cutoff: reaped=%v err=%v", reaped, err)
-	}
-	if reaped, err := s.ReapTerminal("job-1", now); err != nil || !reaped {
-		t.Fatalf("reap of expired terminal: reaped=%v err=%v", reaped, err)
-	}
-	if _, err := os.Stat(filepath.Join(s.Dir(), "jobs", "job-1")); !os.IsNotExist(err) {
-		t.Fatalf("job directory survived the reap: %v", err)
-	}
-	// Idempotent, and the gone job is cleanly unclaimable.
-	if reaped, err := s.ReapTerminal("job-1", now); err != nil || reaped {
-		t.Fatalf("second reap: reaped=%v err=%v", reaped, err)
-	}
-	if _, _, err := s.ClaimJob("job-1", "node-a", time.Minute, now); err == nil {
-		t.Fatal("claim of reaped job succeeded")
-	}
-}
-
-func TestStaleLockBroken(t *testing.T) {
-	s := openClaimStore(t, "job-1")
+	seedJobs(t, s, "job-1")
 	s.SetLockStale(50 * time.Millisecond)
 	lock := filepath.Join(s.Dir(), "jobs", "job-1", "manifest.lock")
 	if err := os.WriteFile(lock, nil, 0o644); err != nil {
@@ -281,115 +282,109 @@ func TestStaleLockBroken(t *testing.T) {
 // Exactly one node wins each job, the losers' fenced writes are
 // no-ops, and a released job is claimable again — by exactly one node.
 func TestConcurrentClaimProperty(t *testing.T) {
-	const nodes, jobs = 8, 16
-	dir := t.TempDir()
-	seed, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := make([]string, jobs)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("job-%03d", i)
-		if err := seed.CreateJob(testManifest(ids[i]), []string{"a"}, [][]string{{"1"}, {"2"}, {"3"}}); err != nil {
-			t.Fatal(err)
+	forEachBackend(t, func(t *testing.T, s *Store, reopen func() *Store) {
+		const nodes, jobs = 8, 16
+		seed := s
+		ids := make([]string, jobs)
+		for i := range ids {
+			ids[i] = fmt.Sprintf("job-%03d", i)
+			if err := seed.CreateJob(testManifest(ids[i]), []string{"a"}, [][]string{{"1"}, {"2"}, {"3"}}); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
 
-	type win struct {
-		node  int
-		fence uint64
-	}
-	wins := make([][]win, jobs) // per job, appended under mu
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for n := 0; n < nodes; n++ {
-		wg.Add(1)
-		go func(n int) {
-			defer wg.Done()
-			s, err := Open(dir) // each "node" gets its own handle
+		type win struct {
+			node  int
+			fence uint64
+		}
+		wins := make([][]win, jobs) // per job, appended under mu
+		var mu sync.Mutex
+		var wg sync.WaitGroup
+		for n := 0; n < nodes; n++ {
+			wg.Add(1)
+			go func(n int) {
+				defer wg.Done()
+				s := reopen() // each "node" gets its own handle
+				node := fmt.Sprintf("node-%d", n)
+				for i, id := range ids {
+					m, _, err := s.ClaimJob(id, node, time.Hour, time.Now())
+					switch {
+					case err == nil:
+						mu.Lock()
+						wins[i] = append(wins[i], win{node: n, fence: m.Fence})
+						mu.Unlock()
+					case errors.Is(err, ErrNotClaimable):
+						// Lost the race: every fenced write must bounce. A
+						// loser guesses the winner's fence correctly (1) but
+						// still must not pass, because the node differs.
+						if _, rerr := s.RenewLease(id, node, 1, time.Hour, time.Now()); !errors.Is(rerr, ErrFenced) {
+							t.Errorf("loser %s renew on %s: err = %v, want ErrFenced", node, id, rerr)
+						}
+						if _, uerr := s.UpdateClaimed(id, node, 1, func(m *Manifest) error {
+							m.State = StateFailed
+							return nil
+						}); !errors.Is(uerr, ErrFenced) {
+							t.Errorf("loser %s update on %s: err = %v, want ErrFenced", node, id, uerr)
+						}
+					default:
+						t.Errorf("claim %s by %s: unexpected error %v", id, node, err)
+					}
+				}
+			}(n)
+		}
+		wg.Wait()
+
+		for i, w := range wins {
+			if len(w) != 1 {
+				t.Fatalf("job %s won by %d nodes (%v), want exactly 1", ids[i], len(w), w)
+			}
+			if w[0].fence != 1 {
+				t.Errorf("job %s first claim fence = %d, want 1", ids[i], w[0].fence)
+			}
+			m, err := seed.ReadManifest(ids[i])
 			if err != nil {
-				t.Error(err)
-				return
+				t.Fatal(err)
 			}
-			node := fmt.Sprintf("node-%d", n)
-			for i, id := range ids {
-				m, _, err := s.ClaimJob(id, node, time.Hour, time.Now())
-				switch {
-				case err == nil:
-					mu.Lock()
-					wins[i] = append(wins[i], win{node: n, fence: m.Fence})
-					mu.Unlock()
-				case errors.Is(err, ErrNotClaimable):
-					// Lost the race: every fenced write must bounce. A
-					// loser guesses the winner's fence correctly (1) but
-					// still must not pass, because the node differs.
-					if _, rerr := s.RenewLease(id, node, 1, time.Hour, time.Now()); !errors.Is(rerr, ErrFenced) {
-						t.Errorf("loser %s renew on %s: err = %v, want ErrFenced", node, id, rerr)
-					}
-					if _, uerr := s.UpdateClaimed(id, node, 1, func(m *Manifest) error {
-						m.State = StateFailed
-						return nil
-					}); !errors.Is(uerr, ErrFenced) {
-						t.Errorf("loser %s update on %s: err = %v, want ErrFenced", node, id, uerr)
-					}
-				default:
-					t.Errorf("claim %s by %s: unexpected error %v", id, node, err)
-				}
+			if m.State != StateRunning || m.Claim == nil || m.Claim.Node != fmt.Sprintf("node-%d", w[0].node) {
+				t.Fatalf("job %s manifest disagrees with the recorded winner %d: %+v claim %+v",
+					ids[i], w[0].node, m, m.Claim)
 			}
-		}(n)
-	}
-	wg.Wait()
+		}
 
-	for i, w := range wins {
-		if len(w) != 1 {
-			t.Fatalf("job %s won by %d nodes (%v), want exactly 1", ids[i], len(w), w)
-		}
-		if w[0].fence != 1 {
-			t.Errorf("job %s first claim fence = %d, want 1", ids[i], w[0].fence)
-		}
-		m, err := seed.ReadManifest(ids[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.State != StateRunning || m.Claim == nil || m.Claim.Node != fmt.Sprintf("node-%d", w[0].node) {
-			t.Fatalf("job %s manifest disagrees with the recorded winner %d: %+v claim %+v",
-				ids[i], w[0].node, m, m.Claim)
-		}
-	}
-
-	// Round two: every winner releases, the pack re-claims. Again one
-	// winner per job, now at fence 2.
-	for i, w := range wins {
-		if _, err := seed.ReleaseJob(ids[i], fmt.Sprintf("node-%d", w[0].node), 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var reclaims [jobs]int64
-	var rmu sync.Mutex
-	for n := 0; n < nodes; n++ {
-		wg.Add(1)
-		go func(n int) {
-			defer wg.Done()
-			s, _ := Open(dir)
-			node := fmt.Sprintf("node-%d", n)
-			for i, id := range ids {
-				if m, _, err := s.ClaimJob(id, node, time.Hour, time.Now()); err == nil {
-					if m.Fence != 2 {
-						t.Errorf("re-claim of %s fence = %d, want 2", id, m.Fence)
-					}
-					rmu.Lock()
-					reclaims[i]++
-					rmu.Unlock()
-				}
+		// Round two: every winner releases, the pack re-claims. Again one
+		// winner per job, now at fence 2.
+		for i, w := range wins {
+			if _, err := seed.ReleaseJob(ids[i], fmt.Sprintf("node-%d", w[0].node), 1); err != nil {
+				t.Fatal(err)
 			}
-		}(n)
-	}
-	wg.Wait()
-	for i, c := range reclaims {
-		if c != 1 {
-			t.Errorf("released job %s re-claimed %d times, want 1", ids[i], c)
 		}
-	}
+		var reclaims [jobs]int64
+		var rmu sync.Mutex
+		for n := 0; n < nodes; n++ {
+			wg.Add(1)
+			go func(n int) {
+				defer wg.Done()
+				s := reopen()
+				node := fmt.Sprintf("node-%d", n)
+				for i, id := range ids {
+					if m, _, err := s.ClaimJob(id, node, time.Hour, time.Now()); err == nil {
+						if m.Fence != 2 {
+							t.Errorf("re-claim of %s fence = %d, want 2", id, m.Fence)
+						}
+						rmu.Lock()
+						reclaims[i]++
+						rmu.Unlock()
+					}
+				}
+			}(n)
+		}
+		wg.Wait()
+		for i, c := range reclaims {
+			if c != 1 {
+				t.Errorf("released job %s re-claimed %d times, want 1", ids[i], c)
+			}
+		}
+	})
 }
 
 // TestReapClaimRace drives the recovery-vs-janitor race the lock
@@ -397,109 +392,114 @@ func TestConcurrentClaimProperty(t *testing.T) {
 // while another reaps it. The job must end exactly one way — reaped —
 // and no claim may succeed after the reap reports done.
 func TestReapClaimRace(t *testing.T) {
-	for round := 0; round < 20; round++ {
-		s := openClaimStore(t, "job-1")
-		now := time.Now()
-		if _, _, err := s.ClaimJob("job-1", "node-a", time.Minute, now); err != nil {
-			t.Fatal(err)
-		}
-		fin := now.Add(-time.Hour)
-		if _, err := s.UpdateClaimed("job-1", "node-a", 1, func(m *Manifest) error {
-			m.State = StateFailed
-			m.Error = "x"
-			m.FinishedAt = &fin
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
+	forEachBackend(t, func(t *testing.T, s *Store, reopen func() *Store) {
+		for round := 0; round < 20; round++ {
+			seedJobs(t, s, "job-1")
+			now := time.Now()
+			if _, _, err := s.ClaimJob("job-1", "node-a", time.Minute, now); err != nil {
+				t.Fatal(err)
+			}
+			fin := now.Add(-time.Hour)
+			if _, err := s.UpdateClaimed("job-1", "node-a", 1, func(m *Manifest) error {
+				m.State = StateFailed
+				m.Error = "x"
+				m.FinishedAt = &fin
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
 
-		var wg sync.WaitGroup
-		claimed := make(chan struct{}, 4)
-		for g := 0; g < 3; g++ {
+			var wg sync.WaitGroup
+			claimed := make(chan struct{}, 4)
+			for g := 0; g < 3; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					h := reopen()
+					if _, _, err := h.ClaimJob("job-1", "node-b", time.Minute, time.Now()); err == nil {
+						claimed <- struct{}{}
+					}
+				}()
+			}
 			wg.Add(1)
+			var reaped bool
 			go func() {
 				defer wg.Done()
-				h, _ := Open(s.Dir())
-				if _, _, err := h.ClaimJob("job-1", "node-b", time.Minute, time.Now()); err == nil {
-					claimed <- struct{}{}
+				h := reopen()
+				r, err := h.ReapTerminal("job-1", now)
+				if err != nil {
+					t.Error(err)
 				}
+				reaped = r
 			}()
-		}
-		wg.Add(1)
-		var reaped bool
-		go func() {
-			defer wg.Done()
-			h, _ := Open(s.Dir())
-			r, err := h.ReapTerminal("job-1", now)
-			if err != nil {
-				t.Error(err)
+			wg.Wait()
+			close(claimed)
+			// Terminal jobs are never claimable, so no claimer may have won,
+			// and the reap must have gone through.
+			if n := len(claimed); n != 0 {
+				t.Fatalf("round %d: %d claims of a terminal job succeeded", round, n)
 			}
-			reaped = r
-		}()
-		wg.Wait()
-		close(claimed)
-		// Terminal jobs are never claimable, so no claimer may have won,
-		// and the reap must have gone through.
-		if n := len(claimed); n != 0 {
-			t.Fatalf("round %d: %d claims of a terminal job succeeded", round, n)
+			if !reaped {
+				t.Fatalf("round %d: reap did not happen", round)
+			}
 		}
-		if !reaped {
-			t.Fatalf("round %d: reap did not happen", round)
-		}
-	}
+	})
 }
 
 // TestClaimOpsOnMissingOrInvalidJobs: every claim-path operation fails
 // cleanly — no panic, no directory creation — on IDs that are unsafe or
 // simply not there.
 func TestClaimOpsOnMissingOrInvalidJobs(t *testing.T) {
-	s := openClaimStore(t)
-	now := time.Now()
-	if _, _, err := s.ClaimJob("ghost", "node-a", time.Minute, now); err == nil {
-		t.Error("claim of missing job succeeded")
-	}
-	if _, err := s.RenewLease("ghost", "node-a", 1, time.Minute, now); err == nil {
-		t.Error("renew of missing job succeeded")
-	}
-	if _, err := s.ReleaseJob("ghost", "node-a", 1); err == nil {
-		t.Error("release of missing job succeeded")
-	}
-	if _, err := s.RequestCancel("ghost", "bye", now); err == nil {
-		t.Error("cancel of missing job succeeded")
-	}
-	if _, _, err := s.ClaimJob("../evil", "node-a", time.Minute, now); err == nil {
-		t.Error("claim of traversal id succeeded")
-	}
-	if _, _, err := s.ClaimJob("job", "../evil", time.Minute, now); err == nil {
-		t.Error("claim under traversal node id succeeded")
-	}
-	if _, _, err := s.ClaimJob("job", "node-a", 0, now); err == nil {
-		t.Error("claim with zero ttl succeeded")
-	}
-	if _, err := s.ReapTerminal("../evil", now); err == nil {
-		t.Error("reap of traversal id succeeded")
-	}
-	if reaped, err := s.ReapTerminal("ghost", now); err != nil || reaped {
-		t.Errorf("reap of missing job: reaped=%v err=%v", reaped, err)
-	}
-	if entries, err := os.ReadDir(filepath.Join(s.Dir(), "jobs")); err != nil || len(entries) != 0 {
-		t.Errorf("claim ops left artifacts behind: %v %v", entries, err)
-	}
+	forEachBackend(t, func(t *testing.T, s *Store, _ func() *Store) {
+		now := time.Now()
+		if _, _, err := s.ClaimJob("ghost", "node-a", time.Minute, now); err == nil {
+			t.Error("claim of missing job succeeded")
+		}
+		if _, err := s.RenewLease("ghost", "node-a", 1, time.Minute, now); err == nil {
+			t.Error("renew of missing job succeeded")
+		}
+		if _, err := s.ReleaseJob("ghost", "node-a", 1); err == nil {
+			t.Error("release of missing job succeeded")
+		}
+		if _, err := s.RequestCancel("ghost", "bye", now); err == nil {
+			t.Error("cancel of missing job succeeded")
+		}
+		if _, _, err := s.ClaimJob("../evil", "node-a", time.Minute, now); err == nil {
+			t.Error("claim of traversal id succeeded")
+		}
+		if _, _, err := s.ClaimJob("job", "../evil", time.Minute, now); err == nil {
+			t.Error("claim under traversal node id succeeded")
+		}
+		if _, _, err := s.ClaimJob("job", "node-a", 0, now); err == nil {
+			t.Error("claim with zero ttl succeeded")
+		}
+		if _, err := s.ReapTerminal("../evil", now); err == nil {
+			t.Error("reap of traversal id succeeded")
+		}
+		if reaped, err := s.ReapTerminal("ghost", now); err != nil || reaped {
+			t.Errorf("reap of missing job: reaped=%v err=%v", reaped, err)
+		}
+		if entries, err := s.Backend().List("jobs"); err != nil || len(entries) != 0 {
+			t.Errorf("claim ops left artifacts behind: %v %v", entries, err)
+		}
+	})
 }
 
 // TestMutateRejectsCorruptManifest: a torn or foreign manifest stops
 // the mutation instead of being overwritten with guessed content.
 func TestMutateRejectsCorruptManifest(t *testing.T) {
-	s := openClaimStore(t, "job-1")
-	path := filepath.Join(s.Dir(), "jobs", "job-1", "manifest.json")
-	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.ClaimJob("job-1", "node-a", time.Minute, time.Now()); err == nil {
-		t.Fatal("claim over corrupt manifest succeeded")
-	}
-	b, err := os.ReadFile(path)
-	if err != nil || string(b) != "{not json" {
-		t.Fatalf("corrupt manifest was rewritten: %q %v", b, err)
-	}
+	forEachBackend(t, func(t *testing.T, s *Store, _ func() *Store) {
+		seedJobs(t, s, "job-1")
+		rel := "jobs/job-1/manifest.json"
+		if err := s.Backend().WriteAtomic(rel, []byte("{not json")); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.ClaimJob("job-1", "node-a", time.Minute, time.Now()); err == nil {
+			t.Fatal("claim over corrupt manifest succeeded")
+		}
+		b, err := s.Backend().ReadFile(rel)
+		if err != nil || string(b) != "{not json" {
+			t.Fatalf("corrupt manifest was rewritten: %q %v", b, err)
+		}
+	})
 }

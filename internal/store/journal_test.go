@@ -15,51 +15,54 @@ func journalStore(t *testing.T) *Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CreateJob(testManifest("job-j"), []string{"a"}, [][]string{{"1"}}); err != nil {
-		t.Fatal(err)
-	}
+	seedJobs(t, s, "job-j")
 	return s
 }
 
 func TestJournalAppendRead(t *testing.T) {
-	s := journalStore(t)
-	if b, err := s.ReadJournal("job-j"); err != nil || b != nil {
-		t.Fatalf("fresh job journal: %q, %v (want empty, nil)", b, err)
-	}
-	lines := []string{
-		`{"event":"submitted"}` + "\n",
-		`{"event":"claimed"}` + "\n",
-		`{"event":"succeeded"}` + "\n",
-	}
-	for _, l := range lines {
-		if err := s.AppendJournal("job-j", []byte(l)); err != nil {
+	forEachBackend(t, func(t *testing.T, s *Store, _ func() *Store) {
+		seedJobs(t, s, "job-j")
+		if b, err := s.ReadJournal("job-j"); err != nil || b != nil {
+			t.Fatalf("fresh job journal: %q, %v (want empty, nil)", b, err)
+		}
+		lines := []string{
+			`{"event":"submitted"}` + "\n",
+			`{"event":"claimed"}` + "\n",
+			`{"event":"succeeded"}` + "\n",
+		}
+		for _, l := range lines {
+			if err := s.AppendJournal("job-j", []byte(l)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := s.ReadJournal("job-j")
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	got, err := s.ReadJournal("job-j")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != strings.Join(lines, "") {
-		t.Errorf("journal = %q, want the three lines in order", got)
-	}
+		if string(got) != strings.Join(lines, "") {
+			t.Errorf("journal = %q, want the three lines in order", got)
+		}
+	})
 }
 
 func TestJournalAppendRejectsUnterminated(t *testing.T) {
-	s := journalStore(t)
-	for _, bad := range [][]byte{nil, {}, []byte(`{"event":"claimed"}`)} {
-		if err := s.AppendJournal("job-j", bad); err == nil {
-			t.Errorf("append accepted %q without a trailing newline", bad)
+	forEachBackend(t, func(t *testing.T, s *Store, _ func() *Store) {
+		seedJobs(t, s, "job-j")
+		for _, bad := range [][]byte{nil, {}, []byte(`{"event":"claimed"}`)} {
+			if err := s.AppendJournal("job-j", bad); err == nil {
+				t.Errorf("append accepted %q without a trailing newline", bad)
+			}
 		}
-	}
-	if err := s.AppendJournal("../etc", []byte("x\n")); err == nil {
-		t.Error("append accepted a path-traversal job id")
-	}
+		if err := s.AppendJournal("../etc", []byte("x\n")); err == nil {
+			t.Error("append accepted a path-traversal job id")
+		}
+	})
 }
 
 // TestJournalAppendDropsTornTail: a torn tail left by a crashed writer
 // is discarded before the next complete line lands, so the spool only
-// ever grows by complete lines.
+// ever grows by complete lines. The tear is an O_APPEND write on disk,
+// so this runs on Local only.
 func TestJournalAppendDropsTornTail(t *testing.T) {
 	s := journalStore(t)
 	if err := s.AppendJournal("job-j", []byte("{\"event\":\"submitted\"}\n")); err != nil {
@@ -91,62 +94,66 @@ func TestJournalAppendDropsTornTail(t *testing.T) {
 // TestJournalConcurrentAppends: the per-job lock serializes appends —
 // every line survives intact, none interleave.
 func TestJournalConcurrentAppends(t *testing.T) {
-	s := journalStore(t)
-	const n = 20
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			line := fmt.Sprintf(`{"i":%d}`+"\n", i)
-			if err := s.AppendJournal("job-j", []byte(line)); err != nil {
-				t.Error(err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	got, err := s.ReadJournal("job-j")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotLines := strings.Split(strings.TrimSuffix(string(got), "\n"), "\n")
-	if len(gotLines) != n {
-		t.Fatalf("got %d lines, want %d:\n%s", len(gotLines), n, got)
-	}
-	seen := map[string]bool{}
-	for _, l := range gotLines {
-		if !strings.HasPrefix(l, `{"i":`) || !strings.HasSuffix(l, "}") {
-			t.Errorf("interleaved or torn line %q", l)
+	forEachBackend(t, func(t *testing.T, s *Store, _ func() *Store) {
+		seedJobs(t, s, "job-j")
+		const n = 20
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				line := fmt.Sprintf(`{"i":%d}`+"\n", i)
+				if err := s.AppendJournal("job-j", []byte(line)); err != nil {
+					t.Error(err)
+				}
+			}(i)
 		}
-		seen[l] = true
-	}
-	if len(seen) != n {
-		t.Errorf("lost lines: %d distinct of %d", len(seen), n)
-	}
+		wg.Wait()
+		got, err := s.ReadJournal("job-j")
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotLines := strings.Split(strings.TrimSuffix(string(got), "\n"), "\n")
+		if len(gotLines) != n {
+			t.Fatalf("got %d lines, want %d:\n%s", len(gotLines), n, got)
+		}
+		seen := map[string]bool{}
+		for _, l := range gotLines {
+			if !strings.HasPrefix(l, `{"i":`) || !strings.HasSuffix(l, "}") {
+				t.Errorf("interleaved or torn line %q", l)
+			}
+			seen[l] = true
+		}
+		if len(seen) != n {
+			t.Errorf("lost lines: %d distinct of %d", len(seen), n)
+		}
+	})
 }
 
 func TestTraceRoundTrip(t *testing.T) {
-	s := journalStore(t)
-	if b, err := s.ReadTrace("job-j"); err != nil || b != nil {
-		t.Fatalf("fresh job trace: %q, %v (want nil, nil)", b, err)
-	}
-	v1 := []byte(`{"spans":[{"name":"job@a"}]}`)
-	if err := s.WriteTrace("job-j", v1); err != nil {
-		t.Fatal(err)
-	}
-	// Last write wins: each flush is a fuller view of the same timeline.
-	v2 := []byte(`{"spans":[{"name":"job@a"},{"name":"job@b"}]}`)
-	if err := s.WriteTrace("job-j", v2); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.ReadTrace("job-j")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(v2) {
-		t.Errorf("trace = %q, want %q", got, v2)
-	}
-	if err := s.WriteTrace("bad/../id", v1); err == nil {
-		t.Error("WriteTrace accepted a path-traversal job id")
-	}
+	forEachBackend(t, func(t *testing.T, s *Store, _ func() *Store) {
+		seedJobs(t, s, "job-j")
+		if b, err := s.ReadTrace("job-j"); err != nil || b != nil {
+			t.Fatalf("fresh job trace: %q, %v (want nil, nil)", b, err)
+		}
+		v1 := []byte(`{"spans":[{"name":"job@a"}]}`)
+		if err := s.WriteTrace("job-j", v1); err != nil {
+			t.Fatal(err)
+		}
+		// Last write wins: each flush is a fuller view of the same timeline.
+		v2 := []byte(`{"spans":[{"name":"job@a"},{"name":"job@b"}]}`)
+		if err := s.WriteTrace("job-j", v2); err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.ReadTrace("job-j")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(v2) {
+			t.Errorf("trace = %q, want %q", got, v2)
+		}
+		if err := s.WriteTrace("bad/../id", v1); err == nil {
+			t.Error("WriteTrace accepted a path-traversal job id")
+		}
+	})
 }

@@ -268,19 +268,32 @@ func blockBase(lo, hi int) string {
 
 // Save durably records one completed block: rows first, stat second.
 func (c *Checkpoint) Save(stat stream.BlockStat, rows [][]string) error {
+	if err := c.SaveRows(stat, rows); err != nil {
+		return err
+	}
+	return c.Commit(stat)
+}
+
+// SaveRows spools a block's rows — the first half of Save. The block is
+// not checkpointed until Commit writes its stat marker, so a caller may
+// land its own per-block writes in between and keep the marker last.
+func (c *Checkpoint) SaveRows(stat stream.BlockStat, rows [][]string) error {
 	base := path.Join(c.dir, blockBase(stat.Lo, stat.Hi))
 	var buf bytes.Buffer
 	if err := relation.WriteCSVRows(&buf, c.header, rows); err != nil {
 		return fmt.Errorf("store: encoding %s: %w", path.Base(base)+".csv", err)
 	}
-	if err := c.be.WriteAtomic(base+".csv", buf.Bytes()); err != nil {
-		return err
-	}
+	return c.be.WriteAtomic(base+".csv", buf.Bytes())
+}
+
+// Commit writes the block's stat marker — the write that makes a block
+// spooled by SaveRows replayable.
+func (c *Checkpoint) Commit(stat stream.BlockStat) error {
 	b, err := json.Marshal(&stat)
 	if err != nil {
 		return fmt.Errorf("store: encoding block stat: %w", err)
 	}
-	return c.be.WriteAtomic(base+".stat.json", append(b, '\n'))
+	return c.be.WriteAtomic(path.Join(c.dir, blockBase(stat.Lo, stat.Hi))+".stat.json", append(b, '\n'))
 }
 
 // Load replays the block [lo, hi) if both of its spool files are

@@ -148,261 +148,257 @@ func TestOpenRejectsEmptyDir(t *testing.T) {
 }
 
 func TestJobLifecycleOnDisk(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	header := []string{"age", "zip"}
-	rows := [][]string{{"34", "15213"}, {"36", "15213"}, {"34", "*"}}
-	m := testManifest("job-a")
-	m.Rows, m.Cols, m.K = len(rows), len(header), 2
-	if err := s.CreateJob(m, header, rows); err != nil {
-		t.Fatal(err)
-	}
+	forEachBackend(t, func(t *testing.T, s *Store, _ func() *Store) {
+		header := []string{"age", "zip"}
+		rows := [][]string{{"34", "15213"}, {"36", "15213"}, {"34", "*"}}
+		m := testManifest("job-a")
+		m.Rows, m.Cols, m.K = len(rows), len(header), 2
+		if err := s.CreateJob(m, header, rows); err != nil {
+			t.Fatal(err)
+		}
 
-	h2, r2, err := s.ReadRequest("job-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(h2) != 2 || h2[0] != "age" || len(r2) != 3 || r2[2][1] != "*" {
-		t.Errorf("request round trip: %v %v", h2, r2)
-	}
+		h2, r2, err := s.ReadRequest("job-a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(h2) != 2 || h2[0] != "age" || len(r2) != 3 || r2[2][1] != "*" {
+			t.Errorf("request round trip: %v %v", h2, r2)
+		}
 
-	got, err := s.ReadManifest("job-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.State != StateQueued {
-		t.Errorf("state = %q", got.State)
-	}
+		got, err := s.ReadManifest("job-a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.State != StateQueued {
+			t.Errorf("state = %q", got.State)
+		}
 
-	// Transition commit: the manifest file is replaced atomically.
-	m.State = StateRunning
-	if err := s.WriteManifest(m); err != nil {
-		t.Fatal(err)
-	}
-	if got, err = s.ReadManifest("job-a"); err != nil || got.State != StateRunning {
-		t.Fatalf("after transition: %+v, %v", got, err)
-	}
+		// Transition commit: the manifest file is replaced atomically.
+		m.State = StateRunning
+		if err := s.WriteManifest(m); err != nil {
+			t.Fatal(err)
+		}
+		if got, err = s.ReadManifest("job-a"); err != nil || got.State != StateRunning {
+			t.Fatalf("after transition: %+v, %v", got, err)
+		}
 
-	if err := s.WriteResult("job-a", header, rows); err != nil {
-		t.Fatal(err)
-	}
-	if _, r3, err := s.ReadResult("job-a"); err != nil || len(r3) != 3 {
-		t.Fatalf("result round trip: %v, %v", r3, err)
-	}
+		if err := s.WriteResult("job-a", header, rows); err != nil {
+			t.Fatal(err)
+		}
+		if _, r3, err := s.ReadResult("job-a"); err != nil || len(r3) != 3 {
+			t.Fatalf("result round trip: %v, %v", r3, err)
+		}
 
-	// No temp files may survive a completed write.
-	matches, err := filepath.Glob(filepath.Join(s.Dir(), "jobs", "job-a", "*.tmp"))
-	if err != nil || len(matches) != 0 {
-		t.Errorf("stray temp files: %v (%v)", matches, err)
-	}
+		// No temp files may survive a completed write.
+		entries, err := s.Backend().List("jobs/job-a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if strings.Contains(e.Name, ".tmp") {
+				t.Errorf("stray temp file %s", e.Name)
+			}
+		}
 
-	if err := s.Delete("job-a"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.ReadManifest("job-a"); err == nil {
-		t.Error("manifest readable after Delete")
-	}
-	if err := s.Delete("job-a"); err != nil {
-		t.Errorf("second Delete not a no-op: %v", err)
-	}
+		if err := s.Delete("job-a"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.ReadManifest("job-a"); err == nil {
+			t.Error("manifest readable after Delete")
+		}
+		if err := s.Delete("job-a"); err != nil {
+			t.Errorf("second Delete not a no-op: %v", err)
+		}
+	})
 }
 
 func TestReadRejectsBadID(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.ReadManifest("../../etc/passwd"); err == nil {
-		t.Error("ReadManifest accepted traversal id")
-	}
-	if _, _, err := s.ReadRequest("a/b"); err == nil {
-		t.Error("ReadRequest accepted traversal id")
-	}
-	if err := s.WriteResult("", nil, nil); err == nil {
-		t.Error("WriteResult accepted empty id")
-	}
-	if err := s.Delete(".."); err == nil {
-		t.Error("Delete accepted traversal id")
-	}
-	if _, err := s.Checkpoint("a/b", nil); err == nil {
-		t.Error("Checkpoint accepted traversal id")
-	}
+	forEachBackend(t, func(t *testing.T, s *Store, _ func() *Store) {
+		if _, err := s.ReadManifest("../../etc/passwd"); err == nil {
+			t.Error("ReadManifest accepted traversal id")
+		}
+		if _, _, err := s.ReadRequest("a/b"); err == nil {
+			t.Error("ReadRequest accepted traversal id")
+		}
+		if err := s.WriteResult("", nil, nil); err == nil {
+			t.Error("WriteResult accepted empty id")
+		}
+		if err := s.Delete(".."); err == nil {
+			t.Error("Delete accepted traversal id")
+		}
+		if _, err := s.Checkpoint("a/b", nil); err == nil {
+			t.Error("Checkpoint accepted traversal id")
+		}
+	})
 }
 
 func TestJobsScanOrderAndSkips(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := time.Date(2026, 3, 1, 0, 0, 0, 0, time.UTC)
-	mk := func(id string, at time.Time) {
-		m := testManifest(id)
-		m.SubmittedAt = at
-		if err := s.CreateJob(m, []string{"a"}, [][]string{{"1"}, {"2"}, {"3"}, {"4"}, {"5"}, {"6"}, {"7"}, {"8"}, {"9"}, {"10"}}); err != nil {
+	forEachBackend(t, func(t *testing.T, s *Store, _ func() *Store) {
+		base := time.Date(2026, 3, 1, 0, 0, 0, 0, time.UTC)
+		mk := func(id string, at time.Time) {
+			m := testManifest(id)
+			m.SubmittedAt = at
+			if err := s.CreateJob(m, []string{"a"}, [][]string{{"1"}, {"2"}, {"3"}, {"4"}, {"5"}, {"6"}, {"7"}, {"8"}, {"9"}, {"10"}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mk("late", base.Add(time.Hour))
+		mk("early", base)
+		mk("tie-b", base.Add(time.Minute))
+		mk("tie-a", base.Add(time.Minute))
+
+		// Corruptions the scan must skip without hiding the rest: a torn
+		// manifest, a directory with no manifest, a stray file, and a
+		// directory whose manifest claims a different ID.
+		be := s.Backend()
+		if err := be.WriteAtomic("jobs/late/manifest.json", []byte(`{"version":"kanon-`)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	mk("late", base.Add(time.Hour))
-	mk("early", base)
-	mk("tie-b", base.Add(time.Minute))
-	mk("tie-a", base.Add(time.Minute))
+		if err := be.MkdirAll("jobs/empty-dir"); err != nil {
+			t.Fatal(err)
+		}
+		if err := be.WriteAtomic("jobs/stray.txt", []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		liar := testManifest("other-id")
+		lb, err := EncodeManifest(liar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := be.MkdirAll("jobs/liar"); err != nil {
+			t.Fatal(err)
+		}
+		if err := be.WriteAtomic("jobs/liar/manifest.json", lb); err != nil {
+			t.Fatal(err)
+		}
 
-	// Corruptions the scan must skip without hiding the rest: a torn
-	// manifest, a directory with no manifest, a stray file, and a
-	// directory whose manifest claims a different ID.
-	jobs := filepath.Join(s.Dir(), "jobs")
-	if err := os.WriteFile(filepath.Join(jobs, "late", "manifest.json"), []byte(`{"version":"kanon-`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(filepath.Join(jobs, "empty-dir"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(jobs, "stray.txt"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	liar := testManifest("other-id")
-	lb, err := EncodeManifest(liar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(filepath.Join(jobs, "liar"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(jobs, "liar", "manifest.json"), lb, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	manifests, skipped, err := s.Jobs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ids []string
-	for _, m := range manifests {
-		ids = append(ids, m.ID)
-	}
-	if want := "early,tie-a,tie-b"; strings.Join(ids, ",") != want {
-		t.Errorf("scan order %v, want %s", ids, want)
-	}
-	if len(skipped) != 4 {
-		t.Errorf("skipped %v, want 4 entries", skipped)
-	}
+		manifests, skipped, err := s.Jobs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ids []string
+		for _, m := range manifests {
+			ids = append(ids, m.ID)
+		}
+		if want := "early,tie-a,tie-b"; strings.Join(ids, ",") != want {
+			t.Errorf("scan order %v, want %s", ids, want)
+		}
+		if len(skipped) != 4 {
+			t.Errorf("skipped %v, want 4 entries", skipped)
+		}
+	})
 }
 
 func TestCheckpointSaveLoadBlocks(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := testManifest("ckpt-job")
-	if err := s.CreateJob(m, []string{"a", "b"}, [][]string{{"1", "2"}}); err != nil {
-		t.Fatal(err)
-	}
-	ck, err := s.Checkpoint("ckpt-job", []string{"a", "b"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	forEachBackend(t, func(t *testing.T, s *Store, _ func() *Store) {
+		m := testManifest("ckpt-job")
+		if err := s.CreateJob(m, []string{"a", "b"}, [][]string{{"1", "2"}}); err != nil {
+			t.Fatal(err)
+		}
+		ck, err := s.Checkpoint("ckpt-job", []string{"a", "b"})
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	if _, _, ok, err := ck.Load(0, 2); ok || err != nil {
-		t.Fatalf("Load on empty sink: ok=%v err=%v", ok, err)
-	}
+		if _, _, ok, err := ck.Load(0, 2); ok || err != nil {
+			t.Fatalf("Load on empty sink: ok=%v err=%v", ok, err)
+		}
 
-	rows := [][]string{{"1", "*"}, {"3", "4"}}
-	stat := stream.BlockStat{Lo: 0, Hi: 2, Cost: 1}
-	if err := ck.Save(stat, rows); err != nil {
-		t.Fatal(err)
-	}
-	got, gst, ok, err := ck.Load(0, 2)
-	if err != nil || !ok {
-		t.Fatalf("Load: ok=%v err=%v", ok, err)
-	}
-	if gst.Lo != 0 || gst.Hi != 2 || gst.Cost != 1 {
-		t.Errorf("stat = %+v", gst)
-	}
-	if len(got) != 2 || got[0][1] != "*" || got[1][0] != "3" {
-		t.Errorf("rows = %v", got)
-	}
+		rows := [][]string{{"1", "*"}, {"3", "4"}}
+		stat := stream.BlockStat{Lo: 0, Hi: 2, Cost: 1}
+		if err := ck.Save(stat, rows); err != nil {
+			t.Fatal(err)
+		}
+		got, gst, ok, err := ck.Load(0, 2)
+		if err != nil || !ok {
+			t.Fatalf("Load: ok=%v err=%v", ok, err)
+		}
+		if gst.Lo != 0 || gst.Hi != 2 || gst.Cost != 1 {
+			t.Errorf("stat = %+v", gst)
+		}
+		if len(got) != 2 || got[0][1] != "*" || got[1][0] != "3" {
+			t.Errorf("rows = %v", got)
+		}
 
-	// A second block, then the in-order listing.
-	if err := ck.Save(stream.BlockStat{Lo: 2, Hi: 5, Cost: 3}, [][]string{{"5", "6"}, {"7", "8"}, {"9", "0"}}); err != nil {
-		t.Fatal(err)
-	}
-	stats, err := ck.Blocks()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats) != 2 || stats[0].Lo != 0 || stats[1].Lo != 2 {
-		t.Errorf("Blocks = %+v", stats)
-	}
+		// A second block, then the in-order listing.
+		if err := ck.Save(stream.BlockStat{Lo: 2, Hi: 5, Cost: 3}, [][]string{{"5", "6"}, {"7", "8"}, {"9", "0"}}); err != nil {
+			t.Fatal(err)
+		}
+		stats, err := ck.Blocks()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(stats) != 2 || stats[0].Lo != 0 || stats[1].Lo != 2 {
+			t.Errorf("Blocks = %+v", stats)
+		}
+	})
 }
 
 func TestCheckpointLoadRejectsDamage(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := testManifest("dmg-job")
-	if err := s.CreateJob(m, []string{"a", "b"}, [][]string{{"1", "2"}}); err != nil {
-		t.Fatal(err)
-	}
-	ck, err := s.Checkpoint("dmg-job", []string{"a", "b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(s.Dir(), "jobs", "dmg-job", "checkpoints")
-	save := func() {
-		t.Helper()
-		if err := ck.Save(stream.BlockStat{Lo: 0, Hi: 2, Cost: 1}, [][]string{{"1", "2"}, {"3", "4"}}); err != nil {
+	forEachBackend(t, func(t *testing.T, s *Store, _ func() *Store) {
+		m := testManifest("dmg-job")
+		if err := s.CreateJob(m, []string{"a", "b"}, [][]string{{"1", "2"}}); err != nil {
 			t.Fatal(err)
 		}
-	}
+		ck, err := s.Checkpoint("dmg-job", []string{"a", "b"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		be := s.Backend()
+		base := "jobs/dmg-job/checkpoints/" + blockBase(0, 2)
+		save := func() {
+			t.Helper()
+			if err := ck.Save(stream.BlockStat{Lo: 0, Hi: 2, Cost: 1}, [][]string{{"1", "2"}, {"3", "4"}}); err != nil {
+				t.Fatal(err)
+			}
+		}
 
-	// Torn write before the commit marker: CSV present, stat missing.
-	save()
-	if err := os.Remove(filepath.Join(dir, blockBase(0, 2)+".stat.json")); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok, err := ck.Load(0, 2); ok || err != nil {
-		t.Fatalf("CSV without stat: ok=%v err=%v", ok, err)
-	}
+		// Torn write before the commit marker: CSV present, stat missing.
+		save()
+		if err := be.Remove(base + ".stat.json"); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, ok, err := ck.Load(0, 2); ok || err != nil {
+			t.Fatalf("CSV without stat: ok=%v err=%v", ok, err)
+		}
 
-	// Stat present, rows missing.
-	save()
-	if err := os.Remove(filepath.Join(dir, blockBase(0, 2)+".csv")); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok, err := ck.Load(0, 2); ok || err != nil {
-		t.Fatalf("stat without CSV: ok=%v err=%v", ok, err)
-	}
+		// Stat present, rows missing.
+		save()
+		if err := be.Remove(base + ".csv"); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, ok, err := ck.Load(0, 2); ok || err != nil {
+			t.Fatalf("stat without CSV: ok=%v err=%v", ok, err)
+		}
 
-	// Garbage stat JSON.
-	save()
-	if err := os.WriteFile(filepath.Join(dir, blockBase(0, 2)+".stat.json"), []byte("{"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok, err := ck.Load(0, 2); ok || err != nil {
-		t.Fatalf("torn stat: ok=%v err=%v", ok, err)
-	}
+		// Garbage stat JSON.
+		save()
+		if err := be.WriteAtomic(base+".stat.json", []byte("{")); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, ok, err := ck.Load(0, 2); ok || err != nil {
+			t.Fatalf("torn stat: ok=%v err=%v", ok, err)
+		}
 
-	// Stat whose range disagrees with its filename's block.
-	save()
-	if err := os.WriteFile(filepath.Join(dir, blockBase(0, 2)+".stat.json"), []byte(`{"Lo":5,"Hi":7,"Cost":0}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok, err := ck.Load(0, 2); ok || err != nil {
-		t.Fatalf("foreign stat range: ok=%v err=%v", ok, err)
-	}
+		// Stat whose range disagrees with its filename's block.
+		save()
+		if err := be.WriteAtomic(base+".stat.json", []byte(`{"Lo":5,"Hi":7,"Cost":0}`)); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, ok, err := ck.Load(0, 2); ok || err != nil {
+			t.Fatalf("foreign stat range: ok=%v err=%v", ok, err)
+		}
 
-	// Header arity mismatch — the sink was built for another schema.
-	save()
-	ck2, err := s.Checkpoint("dmg-job", []string{"a", "b", "c"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok, err := ck2.Load(0, 2); ok || err != nil {
-		t.Fatalf("schema mismatch: ok=%v err=%v", ok, err)
-	}
+		// Header arity mismatch — the sink was built for another schema.
+		save()
+		ck2, err := s.Checkpoint("dmg-job", []string{"a", "b", "c"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, ok, err := ck2.Load(0, 2); ok || err != nil {
+			t.Fatalf("schema mismatch: ok=%v err=%v", ok, err)
+		}
+	})
 }
 
 func TestWriteFileAtomicReplaces(t *testing.T) {
