@@ -14,43 +14,48 @@ import (
 )
 
 // Suppressor is the paper's map t: V → (Σ ∪ {★})^m, represented as a
-// boolean mask per row: mask[i][j] == true means entry (i, j) is
-// suppressed. A suppressor may only replace entries with ★, never change
-// them (Definition 2.1); the mask representation makes that structural.
+// boolean mask over the table's cells: mask[i*m+j] == true means entry
+// (i, j) is suppressed. A suppressor may only replace entries with ★,
+// never change them (Definition 2.1); the mask representation makes
+// that structural.
 type Suppressor struct {
-	mask [][]bool
+	n, m int
+	mask []bool
 }
 
 // NewSuppressor returns an all-clear suppressor for an n×m table.
 func NewSuppressor(n, m int) *Suppressor {
-	mask := make([][]bool, n)
-	for i := range mask {
-		mask[i] = make([]bool, m)
-	}
-	return &Suppressor{mask: mask}
+	return &Suppressor{n: n, m: m, mask: make([]bool, n*m)}
 }
 
 // Suppress marks entry (i, j) for suppression.
-func (s *Suppressor) Suppress(i, j int) { s.mask[i][j] = true }
+func (s *Suppressor) Suppress(i, j int) { s.mask[s.cell(i, j)] = true }
 
 // Suppressed reports whether entry (i, j) is suppressed.
-func (s *Suppressor) Suppressed(i, j int) bool { return s.mask[i][j] }
+func (s *Suppressor) Suppressed(i, j int) bool { return s.mask[s.cell(i, j)] }
+
+// cell returns the mask index of entry (i, j), panicking on a column
+// out of range as the per-row masks did.
+func (s *Suppressor) cell(i, j int) int {
+	if uint(j) >= uint(s.m) {
+		panic(fmt.Sprintf("core: suppressor column %d out of range [0,%d)", j, s.m))
+	}
+	return i*s.m + j
+}
 
 // Stars counts the suppressed entries — the paper's objective value.
 func (s *Suppressor) Stars() int {
 	n := 0
-	for _, row := range s.mask {
-		for _, b := range row {
-			if b {
-				n++
-			}
+	for _, b := range s.mask {
+		if b {
+			n++
 		}
 	}
 	return n
 }
 
 // Rows reports the number of rows the suppressor covers.
-func (s *Suppressor) Rows() int { return len(s.mask) }
+func (s *Suppressor) Rows() int { return s.n }
 
 // Apply returns t(V): a clone of the table with the masked entries
 // replaced by ★.
@@ -58,8 +63,8 @@ func (s *Suppressor) Apply(t *relation.Table) *relation.Table {
 	out := t.Clone()
 	for i := 0; i < out.Len(); i++ {
 		row := out.Row(i)
-		for j := range row {
-			if s.mask[i][j] {
+		for j, b := range s.mask[i*s.m : (i+1)*s.m] {
+			if b {
 				row[j] = relation.Star
 			}
 		}
@@ -273,18 +278,5 @@ func nearestNeighborOrder(g []int, m metric.Kernel) []int {
 // rows with identical (textually indistinguishable) contents form a
 // group. This is Π(t, V) for a given k-anonymizer output.
 func FromAnonymized(t *relation.Table) *Partition {
-	buckets := make(map[string][]int)
-	order := make([]string, 0)
-	for i := 0; i < t.Len(); i++ {
-		k := t.Signature(i)
-		if _, ok := buckets[k]; !ok {
-			order = append(order, k)
-		}
-		buckets[k] = append(buckets[k], i)
-	}
-	p := &Partition{}
-	for _, k := range order {
-		p.Groups = append(p.Groups, buckets[k])
-	}
-	return p
+	return &Partition{Groups: t.EquivalenceClasses()}
 }

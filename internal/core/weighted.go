@@ -90,11 +90,9 @@ func (p *Partition) CostWeighted(t *relation.Table, w Weights) int {
 // Σ over suppressed entries (i, j) of w_j.
 func (s *Suppressor) WeightedStars(w Weights) int {
 	total := 0
-	for _, row := range s.mask {
-		for j, b := range row {
-			if b {
-				total += w.col(j)
-			}
+	for c, b := range s.mask {
+		if b {
+			total += w.col(c % s.m)
 		}
 	}
 	return total

@@ -1,9 +1,9 @@
 package cover
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync/atomic"
 
@@ -17,9 +17,12 @@ import (
 // WeightRadiusBound)) (the tests cross-check costs) but stores at most
 // one sorted neighbor order per center, so memory is O(n²) small words
 // instead of O(n²) full member slices, and each round re-evaluates at
-// most a few centers. Under a matrix-free kernel not even the orders
-// are cached: each center evaluation recomputes its distance row into
-// pooled scratch, keeping the whole cover at O(n·workers) memory.
+// most a few centers. Matrix-free kernels cache no orders: under
+// metric.BitKernel each center evaluation fills the center's distance
+// shells (one ⌈n/64⌉-word row bitset per distance) into pooled scratch
+// and scans them a word at a time, keeping the whole cover at
+// O(n·m/64·workers) memory; any other kernel recomputes the center's
+// distance row and order per evaluation.
 //
 // Correctness of the laziness: for a fixed center, every ball's ratio
 // weight/uncovered is nondecreasing as the covered region grows, hence
@@ -63,32 +66,140 @@ func GreedyBallsCtx(ctx context.Context, mat metric.Kernel, k, workers int, sp *
 		return nil, fmt.Errorf("cover: n = %d < k = %d", n, k)
 	}
 
-	// Dense matrices cache one neighbor order per center (ord[c]: the
-	// other rows sorted by distance from c, ties by index, matching
-	// Balls for reproducible cross-checks) — the cache costs at most
-	// the matrix's own O(n²) footprint again, and makes re-evaluations
-	// pure lookups. Matrix-free kernels skip the cache entirely: every
-	// center evaluation recomputes its distance row and order into
-	// pooled scratch, keeping the cover at O(n·workers) memory — the
-	// point of running matrix-free.
-	var ord [][]int32
-	if _, dense := mat.(*metric.Matrix); dense {
-		ns := sp.Start("cover.neighbor-order")
-		ord = make([][]int32, n)
-		forEachIndex(n, workers, func(c int) {
-			if ctx.Err() != nil {
-				return // drain remaining centers cheaply; checked below
+	// covered has bit v set once row v is covered.
+	words := (n + 63) / 64
+	covered := make([]uint64, words)
+	remaining := n
+
+	// A center evaluation loads the center's distances into scratch,
+	// then scans them for the minimum-ratio ball against the current
+	// covered set. load, scan and members are the kernel-specific parts:
+	// scan returns ok=false if no ball of the center holds an uncovered
+	// row, and members lists the rows of the ball scan chose (radius
+	// w/2, end rows) in ascending order. The scan of a center whose
+	// distances are still in scratch needs no reload.
+	var (
+		get     func() *ballScratch
+		load    func(c int, s *ballScratch)
+		scan    func(c int, s *ballScratch) (w, unc, end int, ok bool)
+		members func(c int, s *ballScratch, w, end int) []int
+	)
+	if bk, ok := mat.(*metric.BitKernel); ok {
+		// The BitKernel's rows at distance d from c are one bitset, so a
+		// ball's size and uncovered count are popcounts over the shells
+		// up to its radius, 64 rows per word. The concrete type, not a
+		// method set, selects this path: a wrapper that embeds the
+		// kernel and overrides its distance methods is served by the
+		// path below, through its own methods.
+		sw := bk.ShellWords()
+		get = func() *ballScratch { return getShellScratch(sw) }
+		load = func(c int, s *ballScratch) { bk.Shells(c, s.shells) }
+		scan = func(_ int, s *ballScratch) (bw, bu, be int, ok bool) {
+			size, unc := 0, 0
+			for d := 0; d*words < sw; d++ {
+				cnt, u := 0, 0
+				for i, x := range s.shells[d*words : (d+1)*words] {
+					cnt += bits.OnesCount64(x)
+					u += bits.OnesCount64(x &^ covered[i])
+				}
+				// An empty shell repeats the previous ball at a larger
+				// weight, which never wins: no need to skip it.
+				size += cnt
+				unc += u
+				if size >= k && unc > 0 {
+					if weight := 2 * d; !ok || better(weight, unc, bw, bu) {
+						bw, bu, be, ok = weight, unc, size, true
+					}
+				}
+				if size == n {
+					break
+				}
 			}
-			s := getScratch(n)
+			return bw, bu, be, ok
+		}
+		members = func(_ int, s *ballScratch, w, end int) []int {
+			out := make([]int, 0, end)
+			for i := 0; i < words; i++ {
+				var x uint64
+				for d := 0; d <= w/2; d++ {
+					x |= s.shells[d*words+i]
+				}
+				for ; x != 0; x &= x - 1 {
+					out = append(out, i<<6+bits.TrailingZeros64(x))
+				}
+			}
+			return out
+		}
+	} else {
+		// The dense Matrix caches one neighbor order per center (ord[c]:
+		// the other rows sorted by distance from c, ties by index,
+		// matching Balls for reproducible cross-checks) — the cache costs
+		// at most the matrix's own O(n²) footprint again, and makes a
+		// ball a prefix of ord[c]. Any other kernel recomputes the
+		// center's distance row and order into scratch per evaluation,
+		// keeping the cover at O(n·workers) memory.
+		var ord [][]int32
+		dense, isDense := mat.(*metric.Matrix)
+		if isDense {
+			ns := sp.Start("cover.neighbor-order")
+			ord = make([][]int32, n)
+			forEachIndex(n, workers, func(c int) {
+				if ctx.Err() != nil {
+					return // drain remaining centers cheaply; checked below
+				}
+				s := getScratch(n)
+				neighborOrder(mat, c, s)
+				o := make([]int32, n)
+				copy(o, s.ord)
+				putScratch(s)
+				ord[c] = o
+			})
+			ns.End()
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("cover: neighbor order: %w", err)
+			}
+		}
+		order := func(c int, s *ballScratch) []int32 {
+			if isDense {
+				return ord[c]
+			}
+			return s.ord
+		}
+		get = func() *ballScratch { return getScratch(n) }
+		load = func(c int, s *ballScratch) {
+			if isDense {
+				dense.DistRow(c, s.dist)
+				return
+			}
 			neighborOrder(mat, c, s)
-			o := make([]int32, n)
-			copy(o, s.ord)
-			putScratch(s)
-			ord[c] = o
-		})
-		ns.End()
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("cover: neighbor order: %w", err)
+		}
+		scan = func(c int, s *ballScratch) (bw, bu, be int, ok bool) {
+			o := order(c, s)
+			unc := 0
+			for e := 0; e < n; e++ {
+				if v := o[e]; covered[v>>6]>>(v&63)&1 == 0 {
+					unc++
+				}
+				size := e + 1
+				if size < k || unc == 0 {
+					continue
+				}
+				if size < n && s.dist[o[e+1]] == s.dist[o[e]] {
+					continue // not a distance boundary
+				}
+				if weight := 2 * int(s.dist[o[e]]); !ok || better(weight, unc, bw, bu) {
+					bw, bu, be, ok = weight, unc, size, true
+				}
+			}
+			return bw, bu, be, ok
+		}
+		members = func(c int, s *ballScratch, _, end int) []int {
+			out := make([]int, end)
+			for i, v := range order(c, s)[:end] {
+				out[i] = int(v)
+			}
+			sort.Ints(out)
+			return out
 		}
 	}
 
@@ -108,81 +219,40 @@ func GreedyBallsCtx(ctx context.Context, mat metric.Kernel, k, workers int, sp *
 	progress := sp.Progress("cover.covered")
 	progress.SetTotal(int64(n))
 
-	covered := make([]bool, n)
-	remaining := n
-
-	// evalCenter returns the minimum-ratio ball centered at c against
-	// the current covered set, or ok=false if no ball of c contains an
-	// uncovered element. It fills s.dist with c's distance row (and,
-	// without the dense cache, s.ord with c's neighbor order) as a side
-	// effect the caller may consume.
 	evalCenter := func(c int, s *ballScratch) (w, unc, end int, ok bool) {
 		considered.Add(1)
-		var o []int32
-		if ord != nil {
-			o = ord[c]
-			if rf, has := mat.(metric.RowFiller); has {
-				rf.DistRow(c, s.dist)
-			} else {
-				for v := 0; v < n; v++ {
-					s.dist[v] = int32(mat.Dist(c, v))
-				}
-			}
-		} else {
-			neighborOrder(mat, c, s)
-			o = s.ord
-		}
-		uncCount := 0
-		bw, bu, be := 0, 0, 0
-		for e := 0; e < n; e++ {
-			if !covered[o[e]] {
-				uncCount++
-			}
-			size := e + 1
-			if size < k || uncCount == 0 {
-				continue
-			}
-			if size < n && s.dist[o[e+1]] == s.dist[o[e]] {
-				continue // not a distance boundary
-			}
-			weight := 2 * int(s.dist[o[e]])
-			if !ok || better(weight, uncCount, bw, bu) {
-				bw, bu, be, ok = weight, uncCount, size, true
-			}
-		}
-		return bw, bu, be, ok
+		load(c, s)
+		return scan(c, s)
 	}
 
 	// Initial heap: every center evaluated against the empty cover.
-	// Evaluations are independent (covered is all-false), so they shard
-	// across workers; entries are assembled in center order, keeping
-	// the heap — and hence the chosen cover — byte-identical for every
-	// worker count.
-	entries := make([]centerEntry, n)
-	valid := make([]bool, n)
+	// Evaluations are independent (nothing is covered yet), so they
+	// shard across workers; entries are assembled in center order,
+	// keeping the heap — and hence the chosen cover — byte-identical for
+	// every worker count.
+	entries := make([]centerEntry, n) // unc == 0: c has no ball
 	forEachIndex(n, workers, func(c int) {
 		if ctx.Err() != nil {
 			return // drain remaining centers cheaply; checked below
 		}
-		s := getScratch(n)
-		if w, unc, end, ok := evalCenter(c, s); ok {
-			entries[c] = centerEntry{center: c, weight: w, unc: unc, end: end}
-			valid[c] = true
+		s := get()
+		if w, unc, _, ok := evalCenter(c, s); ok {
+			entries[c] = newEntry(c, w, unc)
 		}
 		putScratch(s)
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("cover: ball greedy: %w", err)
 	}
-	pq := make(centerHeap, 0, n)
-	for c := 0; c < n; c++ {
-		if valid[c] {
-			pq = append(pq, entries[c])
+	pq := centerHeap(entries[:0])
+	for _, e := range entries {
+		if e.unc > 0 {
+			pq = append(pq, e)
 		}
 	}
-	heap.Init(&pq)
+	pq.init()
 
-	scratch := getScratch(n)
+	scratch := get()
 	defer putScratch(scratch)
 	for remaining > 0 {
 		if err := ctx.Err(); err != nil {
@@ -192,40 +262,34 @@ func GreedyBallsCtx(ctx context.Context, mat metric.Kernel, k, workers int, sp *
 			return nil, fmt.Errorf("cover: ball family cannot cover %d remaining elements", remaining)
 		}
 		rounds++
-		top := heap.Pop(&pq).(centerEntry)
-		w, unc, end, ok := evalCenter(top.center, scratch)
+		top := pq.pop()
+		c := int(top.center)
+		w, unc, end, ok := evalCenter(c, scratch)
 		if !ok {
 			continue
 		}
-		fresh := centerEntry{center: top.center, weight: w, unc: unc, end: end}
+		fresh := newEntry(c, w, unc)
 		if len(pq) > 0 && pq[0].less(fresh) {
-			heap.Push(&pq, fresh)
+			pq.push(fresh)
 			continue
 		}
-		// scratch.ord still holds top.center's order from the eval just
-		// above when running without the dense cache.
-		o := scratch.ord
-		if ord != nil {
-			o = ord[top.center]
-		}
-		members := make([]int, end)
-		for i := 0; i < end; i++ {
-			v := int(o[i])
-			members[i] = v
-			if !covered[v] {
-				covered[v] = true
+		ball := members(c, scratch, w, end)
+		for _, v := range ball {
+			if bit := uint64(1) << (v & 63); covered[v>>6]&bit == 0 {
+				covered[v>>6] |= bit
 				remaining--
 			}
 		}
-		sort.Ints(members)
-		chosen = append(chosen, Set{Members: members, Weight: w})
+		chosen = append(chosen, Set{Members: ball, Weight: w})
 		ballRadius.Observe(int64(w / 2))
 		ballSize.Observe(int64(end))
 		roundSize.Observe(int64(unc))
 		progress.Add(int64(unc))
 		if remaining > 0 {
-			if w2, unc2, end2, ok2 := evalCenter(top.center, scratch); ok2 {
-				heap.Push(&pq, centerEntry{center: top.center, weight: w2, unc: unc2, end: end2})
+			// scratch still holds c's distances: rescan only.
+			considered.Add(1)
+			if w2, unc2, _, ok2 := scan(c, scratch); ok2 {
+				pq.push(newEntry(c, w2, unc2))
 			}
 		}
 	}
@@ -244,17 +308,23 @@ func better(w1, u1, w2, u2 int) bool {
 	return u1 > u2
 }
 
-// centerEntry is a heap entry: a center with its last-known best ball.
+// centerEntry is a heap entry: a center with the radius and uncovered
+// count of its last-known best ball (weight 2·radius). int32 fields keep
+// the n-entry heap at 12 bytes a center; a radius is a distance, which
+// every kernel bounds by MaxInt32.
 type centerEntry struct {
-	center int
-	weight int
-	unc    int
-	end    int
+	center, radius, unc int32
 }
 
+func newEntry(c, weight, unc int) centerEntry {
+	return centerEntry{center: int32(c), radius: int32(weight / 2), unc: int32(unc)}
+}
+
+// less orders by ratio weight/unc (smaller first; the common factor 2
+// of the weights cancels), then larger unc, then smaller center.
 func (a centerEntry) less(b centerEntry) bool {
-	l := int64(a.weight) * int64(b.unc)
-	r := int64(b.weight) * int64(a.unc)
+	l := int64(a.radius) * int64(b.unc)
+	r := int64(b.radius) * int64(a.unc)
 	if l != r {
 		return l < r
 	}
@@ -264,16 +334,54 @@ func (a centerEntry) less(b centerEntry) bool {
 	return a.center < b.center
 }
 
+// centerHeap is a binary min-heap of centerEntry under less, with
+// typed push and pop (container/heap would box every entry in an any).
 type centerHeap []centerEntry
 
-func (h centerHeap) Len() int           { return len(h) }
-func (h centerHeap) Less(i, j int) bool { return h[i].less(h[j]) }
-func (h centerHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *centerHeap) Push(x any)        { *h = append(*h, x.(centerEntry)) }
-func (h *centerHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// init establishes the heap order over an arbitrary slice.
+func (h centerHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h *centerHeap) push(e centerEntry) {
+	*h = append(*h, e)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q[i].less(q[p]) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
+}
+
+// pop removes and returns the least entry; the heap must be nonempty.
+func (h *centerHeap) pop() centerEntry {
+	q := *h
+	top := q[0]
+	last := len(q) - 1
+	q[0] = q[last]
+	*h = q[:last]
+	h.down(0)
+	return top
+}
+
+func (h centerHeap) down(i int) {
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if r := j + 1; r < len(h) && h[r].less(h[j]) {
+			j = r
+		}
+		if !h[j].less(h[i]) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }

@@ -63,6 +63,28 @@ func BenchmarkGreedyBallsParallel(b *testing.B) {
 	})
 }
 
+// BenchmarkGreedyBallsBitset measures the matrix-free Theorem 4.2
+// cover where it runs in production: a planted 8192×8 table (past
+// metric.AutoBitsetThreshold), k = 3, over the BitKernel's distance
+// shells, at 1 worker vs all CPUs.
+func BenchmarkGreedyBallsBitset(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	bit := metric.NewBitKernel(dataset.Planted(rng, 8192, 8, 6, 3, 1))
+	for _, w := range []struct {
+		name    string
+		workers int
+	}{{"seq", 1}, {"par", runtime.NumCPU()}} {
+		b.Run(w.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := GreedyBallsParallel(bit, 3, w.workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkBallsKernel isolates the per-center radius kernel: the
 // counting-sort kernel that ships vs the comparison-sort + per-ball
 // re-sort loop it replaced (kept here as the before/after baseline).

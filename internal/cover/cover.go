@@ -19,7 +19,7 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"kanon/internal/core"
 	"kanon/internal/metric"
@@ -238,39 +238,50 @@ func ReduceTraced(n int, chosen []Set, k int, sp *obs.Span) (*core.Partition, er
 		sp.Counter("cover.reduce_merges").Add(int64(merges))
 	}()
 
-	alive := make([]map[int]bool, len(chosen))
-	for i, s := range chosen {
-		m := make(map[int]bool, len(s.Members))
+	// owners(v) lists the live sets holding v, in the order the repair
+	// consults them: by index at first, a merge's target appended at
+	// the end. The lists share one array, row v's at off[v], and never
+	// outgrow their first length: a trim drops an entry, and a merge
+	// replaces sj by si or drops it. size[i] counts set i's members;
+	// members[i] holds them plus rows trimmed from i since (owners is
+	// the truth).
+	off := make([]int32, n+1)
+	for _, s := range chosen {
 		for _, v := range s.Members {
-			m[v] = true
-		}
-		alive[i] = m
-	}
-	// owners[v] lists the indices of alive sets containing v. Rebuilt
-	// lazily via the work queue below.
-	owners := make([][]int, n)
-	for i, m := range alive {
-		for v := range m {
-			owners[v] = append(owners[v], i)
+			off[v+1]++
 		}
 	}
-	dead := make([]bool, len(alive))
-
-	// refresh drops dead or stale owner entries for v.
-	refresh := func(v int) []int {
-		out := owners[v][:0]
-		for _, si := range owners[v] {
-			if !dead[si] && alive[si][v] {
-				out = append(out, si)
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	buf := make([]int32, off[n])
+	deg := make([]int32, n)
+	owners := func(v int) []int32 { return buf[off[v] : off[v]+deg[v]] }
+	add := func(v int, si int32) {
+		buf[off[v]+deg[v]] = si
+		deg[v]++
+	}
+	drop := func(v int, si int32) {
+		o := owners(v)
+		j := slices.Index(o, si)
+		copy(o[j:], o[j+1:])
+		deg[v]--
+	}
+	size := make([]int, len(chosen))
+	members := make([][]int, len(chosen))
+	for i, s := range chosen {
+		for _, v := range s.Members {
+			if o := owners(v); len(o) == 0 || o[len(o)-1] != int32(i) { // skip repeats
+				add(v, int32(i))
+				size[i]++
 			}
 		}
-		owners[v] = out
-		return out
+		members[i] = slices.Clip(s.Members)
 	}
 
 	for v := 0; v < n; v++ {
 		for {
-			os := refresh(v)
+			os := owners(v)
 			if len(os) == 0 {
 				return nil, fmt.Errorf("cover: element %d not covered", v)
 			}
@@ -278,39 +289,55 @@ func ReduceTraced(n int, chosen []Set, k int, sp *obs.Span) (*core.Partition, er
 				break
 			}
 			si, sj := os[0], os[1]
-			// Orient so that |alive[si]| ≥ |alive[sj]|.
-			if len(alive[si]) < len(alive[sj]) {
+			// Orient so that |si| ≥ |sj|.
+			if size[si] < size[sj] {
 				si, sj = sj, si
 			}
-			if len(alive[si]) > k {
-				delete(alive[si], v)
+			if size[si] > k {
+				drop(v, si)
+				size[si]--
 				trims++
-			} else {
-				// Both have size exactly k (sizes never drop below k:
-				// removal only happens above k). Merge into si.
-				for w := range alive[sj] {
-					if !alive[si][w] {
-						alive[si][w] = true
-						owners[w] = append(owners[w], si)
-					}
-				}
-				dead[sj] = true
-				merges++
+				continue
 			}
+			// Both have size exactly k (sizes never drop below k:
+			// removal only happens above k). Merge sj into si.
+			for _, w := range members[sj] {
+				if !slices.Contains(owners(w), sj) {
+					continue // trimmed from sj, or a repeat already moved
+				}
+				drop(w, sj)
+				if !slices.Contains(owners(w), si) {
+					add(w, si)
+					members[si] = append(members[si], w)
+					size[si]++
+				}
+			}
+			size[sj] = 0
+			merges++
 		}
 	}
 
-	p := &core.Partition{}
-	for i, m := range alive {
-		if dead[i] || len(m) == 0 {
-			continue
+	// Every row now has exactly one owner. Scanning rows in ascending
+	// order fills each group already sorted; groups keep set order.
+	live := 0
+	for _, sz := range size {
+		if sz > 0 {
+			live++
 		}
-		g := make([]int, 0, len(m))
-		for v := range m {
-			g = append(g, v)
+	}
+	p := &core.Partition{Groups: make([][]int, 0, live)}
+	group := make([]int32, len(chosen)) // live set → its index in p.Groups
+	flat := make([]int, n)
+	for i, sz := range size {
+		if sz > 0 {
+			group[i] = int32(len(p.Groups))
+			p.Groups = append(p.Groups, flat[:0:sz])
+			flat = flat[sz:]
 		}
-		sort.Ints(g)
-		p.Groups = append(p.Groups, g)
+	}
+	for v := 0; v < n; v++ {
+		g := group[owners(v)[0]]
+		p.Groups[g] = append(p.Groups[g], v)
 	}
 	return p, nil
 }

@@ -9,12 +9,13 @@ import (
 
 // ballScratch is the per-worker reusable state of the per-center radius
 // kernel: the distance row, the neighbor order, and the counting-sort
-// buckets. Pooled so a family build allocates O(workers) scratch, not
-// O(centers).
+// buckets, or a metric.BitKernel's distance shells. Pooled so a family
+// build allocates O(workers) scratch, not O(centers).
 type ballScratch struct {
-	dist []int32 // dist[v] = d(c, v) for the current center c
-	ord  []int32 // 0..n−1 sorted by (dist, index)
-	cnt  []int32 // counting-sort bucket heads
+	dist   []int32  // dist[v] = d(c, v) for the current center c
+	ord    []int32  // 0..n−1 sorted by (dist, index)
+	cnt    []int32  // counting-sort bucket heads
+	shells []uint64 // BitKernel.Shells of the current center
 }
 
 var scratchPool = sync.Pool{New: func() any { return &ballScratch{} }}
@@ -27,6 +28,16 @@ func getScratch(n int) *ballScratch {
 	}
 	s.dist = s.dist[:n]
 	s.ord = s.ord[:n]
+	return s
+}
+
+// getShellScratch returns pooled scratch whose shells hold words words.
+func getShellScratch(words int) *ballScratch {
+	s := scratchPool.Get().(*ballScratch)
+	if cap(s.shells) < words {
+		s.shells = make([]uint64, words)
+	}
+	s.shells = s.shells[:words]
 	return s
 }
 

@@ -24,12 +24,21 @@ import (
 // maxOnehotWidth bits (high-cardinality attributes, e.g. near-unique
 // identifiers) would bloat every row's bitset; they fall back to a
 // packed row-major int32 code array compared directly.
+//
+// A transposed copy of the one-hot block holds, per bit slot, the set
+// of rows whose value sets that slot (⌈n/64⌉ words each, about the
+// row-major block's size again). Shells uses it to classify a center's
+// distances to 64 rows per word operation.
 type BitKernel struct {
 	n, m int
 	// One-hot block: words uint64s per row, covering onehotCols columns.
 	words      int
 	onehotCols int
 	onehot     []uint64
+	// Transposed one-hot block: slot s's rows are
+	// slots[s*rowWords : (s+1)*rowWords].
+	rowWords int
+	slots    []uint64
 	// Packed fallback: packedCols high-cardinality columns, row-major.
 	packedCols int
 	packed     []int32
@@ -69,6 +78,8 @@ func NewBitKernelCtx(ctx context.Context, t *relation.Table) (*BitKernel, error)
 	b.packedCols = len(packedIdx)
 	b.words = (bitWidth + 63) / 64
 	b.onehot = make([]uint64, n*b.words)
+	b.rowWords = (n + 63) / 64
+	b.slots = make([]uint64, bitWidth*b.rowWords)
 	if b.packedCols > 0 {
 		b.packed = make([]int32, n*b.packedCols)
 	}
@@ -83,6 +94,7 @@ func NewBitKernelCtx(ctx context.Context, t *relation.Table) (*BitKernel, error)
 		for c, j := range onehotIdx {
 			slot := offsets[c] + slotOf(row[j])
 			w[slot>>6] |= 1 << (slot & 63)
+			b.slots[slot*b.rowWords+i>>6] |= 1 << (i & 63)
 		}
 		for c, j := range packedIdx {
 			b.packed[i*b.packedCols+c] = row[j]
@@ -144,6 +156,102 @@ func (b *BitKernel) MaxDist() int { return b.m }
 func (b *BitKernel) DistRow(center int, out []int32) {
 	for v := 0; v < b.n; v++ {
 		out[v] = int32(b.Dist(center, v))
+	}
+}
+
+// ShellWords returns the length of the buffer Shells fills:
+// MaxDist()+1 shells of ⌈Len()/64⌉ words each.
+func (b *BitKernel) ShellWords() int { return (b.m + 1) * b.rowWords }
+
+// Shells partitions the rows by their distance from center: for each
+// d in 0..m, out[d*W : (d+1)*W] (W = ⌈Len()/64⌉) receives the bitset of
+// the rows v with d(center, v) = d, bit v%64 of word v/64, with no bit
+// set at or past Len(). out must hold ShellWords() words.
+//
+// Per 64-row word, the center's value in each one-hot column selects
+// one transposed slot word (the rows agreeing with it there), and each
+// packed column contributes a word built by comparing codes. A
+// bit-sliced vertical counter sums these m agreement words into
+// ⌈log₂(m+1)⌉ bit planes, and shell d is the word of rows whose plane
+// bits spell the agreement count m − d. That is O(m·log m) word
+// operations per 64 rows, against 64 Dist calls for DistRow.
+func (b *BitKernel) Shells(center int, out []uint64) {
+	W := b.rowWords
+	out = out[:(b.m+1)*W]
+	// The counter's bit planes live in out's first P shells until the
+	// decode overwrites them: plane p of rows 64i..64i+63 is
+	// out[p*W+i]. Each addition ripples a carry up one word column, and
+	// columns are independent, so consecutive words overlap in the CPU.
+	P := bits.Len(uint(b.m))
+	planes := out[:P*W]
+	clear(planes)
+	add := func(i int, x uint64) {
+		for p := i; p < len(planes); p += W {
+			planes[p], x = planes[p]^x, planes[p]&x
+		}
+	}
+	// The center sets one bit per one-hot column, at its slot; that
+	// slot's transposed row holds the rows agreeing with it there. Rows
+	// are added two at a time: a full adder folds both into plane 0 and
+	// ripples one carry from plane 1.
+	var pend []uint64
+	for w, x := range b.onehot[center*b.words : (center+1)*b.words] {
+		for ; x != 0; x &= x - 1 {
+			s := (w<<6 + bits.TrailingZeros64(x)) * W
+			row := b.slots[s : s+W]
+			if pend == nil {
+				pend = row
+				continue
+			}
+			for i, y := range row {
+				z, p0 := pend[i], planes[i]
+				planes[i] = p0 ^ y ^ z
+				add(i+W, p0&(y|z)|y&z)
+			}
+			pend = nil
+		}
+	}
+	for i, y := range pend {
+		add(i, y)
+	}
+	pc := b.packedCols
+	for c, code := range b.packed[center*pc : (center+1)*pc] {
+		for i := 0; i < W; i++ {
+			var x uint64
+			for v := i << 6; v < min(i<<6+64, b.n); v++ {
+				if b.packed[v*pc+c] == code {
+					x |= 1 << (v & 63)
+				}
+			}
+			add(i, x)
+		}
+	}
+	// Shell d holds the rows whose plane bits spell the agreement count
+	// m − d. Splitting a word by each plane in turn, top plane first,
+	// leaves leaf[a] with the rows whose count is a; a level keeps only
+	// the prefixes j with j<<p ≤ m. Rows past n count 0 and are masked
+	// off the last word.
+	var leafBuf [256]uint64
+	leaf := leafBuf[:]
+	if b.m+1 > len(leaf) {
+		leaf = make([]uint64, b.m+1)
+	}
+	for i := 0; i < W; i++ {
+		leaf[0] = ^uint64(0)
+		if i == W-1 && b.n&63 != 0 {
+			leaf[0] = 1<<(b.n&63) - 1
+		}
+		for p := P - 1; p >= 0; p-- {
+			plane := planes[p*W+i]
+			// Descending j reads each parent leaf[j>>1] before it is
+			// overwritten as a child.
+			for j := b.m >> p; j >= 0; j-- {
+				leaf[j] = leaf[j>>1] & (plane ^ (uint64(j&1) - 1)) // plane if j odd, else ^plane
+			}
+		}
+		for a, x := range leaf[:b.m+1] {
+			out[(b.m-a)*W+i] = x
+		}
 	}
 }
 

@@ -12,7 +12,8 @@ import (
 // stream supplies the shape (n, m), the per-column alphabet widths, and
 // every cell, including stars — then cross-checks the matrix-free
 // kernel against the row-wise Distance definition and the dense Matrix
-// on all pairs, plus one Ball and one KthNearest query. Any
+// on all pairs, its distance shells against Dist for every center, plus
+// one Ball and one KthNearest query. Any
 // disagreement is a found bug: the kernels are specified to be
 // byte-identical.
 func FuzzBitKernel(f *testing.F) {
@@ -72,6 +73,7 @@ func FuzzBitKernel(f *testing.F) {
 				}
 			}
 		}
+		checkShells(t, bit)
 		c := int(next()) % n
 		r := int(next()) % (bit.MaxDist() + 1)
 		bm, bb := mat.Ball(c, r), bit.Ball(c, r)

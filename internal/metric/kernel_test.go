@@ -437,3 +437,56 @@ func TestRadixPackerOverflowReturnsNil(t *testing.T) {
 		t.Error("NewRadixPacker should refuse a key space past uint64")
 	}
 }
+
+// TestBitKernelShells checks Shells against Dist for every center, at
+// row counts on both sides of the 64-row word boundary, on tables that
+// mix one-hot columns, packed (alphabet > 63) columns and star cells,
+// plus a table wide enough to need several one-hot words per row.
+func TestBitKernelShells(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	for _, n := range []int{1, 63, 64, 65, 130, 200} {
+		for _, m := range []int{7, 70} {
+			tab := kernelTable(rng, n, m, 6, 0.2)
+			// Force two columns past the one-hot cutoff.
+			for _, j := range []int{1, 4} {
+				for v := 0; v < 100; v++ {
+					tab.Schema().Attribute(j).Intern("p" + strconv.Itoa(v))
+				}
+			}
+			bit := NewBitKernel(tab)
+			if bit.packedCols != 2 {
+				t.Fatalf("n=%d m=%d: %d packed columns, want 2", n, m, bit.packedCols)
+			}
+			checkShells(t, bit)
+		}
+	}
+}
+
+// checkShells asserts that, for every center, each row lies in exactly
+// the shell of its Dist and no shell word has a bit at or past Len().
+func checkShells(t *testing.T, bit *BitKernel) {
+	t.Helper()
+	n, m := bit.Len(), bit.MaxDist()
+	W := (n + 63) / 64
+	out := make([]uint64, bit.ShellWords())
+	if len(out) != (m+1)*W {
+		t.Fatalf("ShellWords() = %d, want %d", len(out), (m+1)*W)
+	}
+	for c := 0; c < n; c++ {
+		bit.Shells(c, out)
+		for d := 0; d <= m; d++ {
+			shell := out[d*W : (d+1)*W]
+			for v := n; v < W*64; v++ {
+				if shell[v>>6]>>(v&63)&1 != 0 {
+					t.Fatalf("n=%d center %d: shell %d has bit %d set past n", n, c, d, v)
+				}
+			}
+			for v := 0; v < n; v++ {
+				in := shell[v>>6]>>(v&63)&1 != 0
+				if want := bit.Dist(c, v) == d; in != want {
+					t.Fatalf("n=%d center %d row %d: in shell %d = %v, Dist = %d", n, c, v, d, in, bit.Dist(c, v))
+				}
+			}
+		}
+	}
+}

@@ -13,7 +13,7 @@ package relation
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -269,18 +269,23 @@ func RowSignature(r Row) string {
 // GroupSizes returns, for each row index, the size of its
 // textual-equivalence class in the table.
 func (t *Table) GroupSizes() []int {
-	counts := make(map[string]int, len(t.rows))
-	keys := make([]string, len(t.rows))
-	for i := range t.rows {
-		k := t.Signature(i)
-		keys[i] = k
-		counts[k]++
-	}
 	out := make([]int, len(t.rows))
-	for i, k := range keys {
-		out[i] = counts[k]
-	}
+	t.eachRun(t.SortedIndex(), func(run []int) {
+		for _, i := range run {
+			out[i] = len(run)
+		}
+	})
 	return out
+}
+
+// EquivalenceClasses groups the row indices by identical contents: each
+// class lists its rows in ascending order, and the classes are ordered
+// by their first row.
+func (t *Table) EquivalenceClasses() [][]int {
+	var classes [][]int
+	t.eachRun(t.SortedIndex(), func(run []int) { classes = append(classes, run[:len(run):len(run)]) })
+	slices.SortFunc(classes, func(a, b []int) int { return a[0] - b[0] })
+	return classes
 }
 
 // IsKAnonymous reports whether every row's equivalence class has
@@ -289,12 +294,23 @@ func (t *Table) IsKAnonymous(k int) bool {
 	if k <= 0 {
 		return true
 	}
-	for _, sz := range t.GroupSizes() {
-		if sz < k {
-			return false
+	ok := true
+	t.eachRun(t.SortedIndex(), func(run []int) { ok = ok && len(run) >= k })
+	return ok
+}
+
+// eachRun calls fn with each maximal run of identical rows in idx, a
+// SortedIndex order, so every run is one equivalence class with its
+// rows ascending.
+func (t *Table) eachRun(idx []int, fn func(run []int)) {
+	for a := 0; a < len(idx); {
+		b := a + 1
+		for b < len(idx) && t.rows[idx[b]].Equal(t.rows[idx[a]]) {
+			b++
 		}
+		fn(idx[a:b])
+		a = b
 	}
-	return true
 }
 
 // ErrSchemaMismatch is returned when combining tables over different
@@ -318,14 +334,11 @@ func (t *Table) SortedIndex() []int {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ra, rb := t.rows[idx[a]], t.rows[idx[b]]
-		for j := range ra {
-			if ra[j] != rb[j] {
-				return ra[j] < rb[j]
-			}
+	slices.SortFunc(idx, func(a, b int) int {
+		if c := slices.Compare(t.rows[a], t.rows[b]); c != 0 {
+			return c
 		}
-		return idx[a] < idx[b]
+		return a - b
 	})
 	return idx
 }

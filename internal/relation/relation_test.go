@@ -2,6 +2,8 @@ package relation
 
 import (
 	"bytes"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -172,6 +174,61 @@ func TestGroupSizesAndKAnonymity(t *testing.T) {
 	}
 	if !tab.IsKAnonymous(0) {
 		t.Error("every table is 0-anonymous")
+	}
+}
+
+// TestEquivalenceClassesMatchSignatures checks the sort-based grouping
+// against grouping by Signature on random tables with stars: the same
+// classes in first-row order, the same GroupSizes, and the same
+// IsKAnonymous verdict for every k.
+func TestEquivalenceClassesMatchSignatures(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		n, m := 1+rng.Intn(40), 1+rng.Intn(4)
+		vecs := make([][]int, n)
+		for i := range vecs {
+			vecs[i] = make([]int, m)
+			for j := range vecs[i] {
+				vecs[i][j] = rng.Intn(3)
+			}
+		}
+		tab := MustFromVectors(vecs)
+		for i := 0; i < n; i++ {
+			if rng.Intn(4) == 0 {
+				tab.Row(i)[rng.Intn(m)] = Star
+			}
+		}
+		var want [][]int
+		at := map[string]int{}
+		for i := 0; i < n; i++ {
+			sig := tab.Signature(i)
+			c, seen := at[sig]
+			if !seen {
+				c = len(want)
+				at[sig] = c
+				want = append(want, nil)
+			}
+			want[c] = append(want[c], i)
+		}
+		got := tab.EquivalenceClasses()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: EquivalenceClasses %v, want %v", trial, got, want)
+		}
+		sizes := tab.GroupSizes()
+		smallest := n
+		for _, c := range want {
+			smallest = min(smallest, len(c))
+			for _, i := range c {
+				if sizes[i] != len(c) {
+					t.Fatalf("trial %d: GroupSizes[%d] = %d, want %d", trial, i, sizes[i], len(c))
+				}
+			}
+		}
+		for k := 1; k <= n+1; k++ {
+			if got, want := tab.IsKAnonymous(k), k <= smallest; got != want {
+				t.Fatalf("trial %d: IsKAnonymous(%d) = %v, want %v", trial, k, got, want)
+			}
+		}
 	}
 }
 

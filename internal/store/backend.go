@@ -139,9 +139,29 @@ func (l *Local) Remove(rel string) error {
 	return os.Remove(l.abs(rel))
 }
 
-// RemoveAll deletes rel recursively.
+// RemoveAll deletes rel recursively. It first renames the tree into a
+// fresh hidden sibling directory, so rel is gone at once: a process
+// that creates a file under rel meanwhile (a claimer taking
+// manifest.lock) fails with ENOENT instead of re-creating it inside a
+// tree that is being deleted, which would leave it non-empty.
 func (l *Local) RemoveAll(rel string) error {
-	return os.RemoveAll(l.abs(rel))
+	path := l.abs(rel)
+	if _, err := os.Lstat(path); errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	dir, base := filepath.Split(path)
+	trash, err := os.MkdirTemp(dir, "."+base+".rm-*")
+	if err != nil {
+		return err
+	}
+	if err := os.Rename(path, filepath.Join(trash, base)); err != nil {
+		_ = os.Remove(trash)
+		if errors.Is(err, os.ErrNotExist) {
+			return nil // removed meanwhile
+		}
+		return err
+	}
+	return os.RemoveAll(trash)
 }
 
 // List returns the entries of directory rel.

@@ -130,6 +130,23 @@ func TestBackendPrimitives(t *testing.T) {
 		if err := be.RemoveAll("d"); err != nil {
 			t.Errorf("removing nothing: %v", err)
 		}
+		if err := be.RemoveAll("nope/d"); err != nil {
+			t.Errorf("removing under a missing directory: %v", err)
+		}
+		// Removing a nested tree leaves its parent empty: nothing set
+		// aside on the way survives.
+		if err := be.MkdirAll("p/d/e"); err != nil {
+			t.Fatal(err)
+		}
+		if err := be.WriteAtomic("p/d/e/f", []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		if err := be.RemoveAll("p/d"); err != nil {
+			t.Fatal(err)
+		}
+		if entries, err := be.List("p"); err != nil || len(entries) != 0 {
+			t.Errorf("parent after RemoveAll: %+v %v", entries, err)
+		}
 		if _, err := be.ReadFile("d/f"); !errors.Is(err, fs.ErrNotExist) {
 			t.Errorf("file survived RemoveAll: %v", err)
 		}
