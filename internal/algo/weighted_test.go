@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -63,7 +64,7 @@ func TestGreedyBallWeightedProtectsExpensiveColumn(t *testing.T) {
 	}
 	// The unweighted greedy has no reason to prefer either column; the
 	// exact weighted optimum confirms 4 is best possible.
-	opt, err := exact.SolveWeighted(tab, 2, w)
+	opt, err := exact.SolveWeightedCtx(context.Background(), tab, 2, w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestGreedyBallWeightedNeverBelowWeightedOPT(t *testing.T) {
 			w[j] = 1 + rng.Intn(9)
 		}
 		k := 2 + trial%2
-		opt, err := exact.SolveWeighted(tab, k, w)
+		opt, err := exact.SolveWeightedCtx(context.Background(), tab, k, w, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,11 +116,11 @@ func TestSolveWeightedReducesToSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 8; trial++ {
 		tab := dataset.Uniform(rng, 9, 4, 2)
-		a, err := exact.Solve(tab, 2, exact.Stars)
+		a, err := exact.SolveCtx(context.Background(), tab, 2, exact.Stars, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := exact.SolveWeighted(tab, 2, core.UniformWeights(4))
+		b, err := exact.SolveWeightedCtx(context.Background(), tab, 2, core.UniformWeights(4), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -96,7 +97,10 @@ func TestCostWeightedAndWeightedStars(t *testing.T) {
 func TestWeightedMatrix(t *testing.T) {
 	tab := relation.MustFromBitstrings("00", "01", "11")
 	w := Weights{7, 3}
-	mat := WeightedMatrix(tab, w)
+	mat, err := WeightedMatrixCtx(context.Background(), tab, w, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := mat.Dist(0, 1); got != 3 {
 		t.Errorf("d_w(00,01) = %d, want 3", got)
 	}
@@ -104,7 +108,10 @@ func TestWeightedMatrix(t *testing.T) {
 		t.Errorf("d_w(00,11) = %d, want 10", got)
 	}
 	// nil weights fall back to the plain matrix.
-	plain := WeightedMatrix(tab, nil)
+	plain, err := WeightedMatrixCtx(context.Background(), tab, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := plain.Dist(0, 2); got != metric.Distance(tab.Row(0), tab.Row(2)) {
 		t.Errorf("nil-weight matrix wrong: %d", got)
 	}
@@ -128,7 +135,10 @@ func TestWeightedDistanceIsMetric(t *testing.T) {
 			vecs[i] = v
 		}
 		tab := relation.MustFromVectors(vecs)
-		mat := WeightedMatrix(tab, w)
+		mat, err := WeightedMatrixCtx(context.Background(), tab, w, 1)
+		if err != nil {
+			return false
+		}
 		return mat.Dist(0, 2) <= mat.Dist(0, 1)+mat.Dist(1, 2) &&
 			mat.Dist(0, 1) == mat.Dist(1, 0)
 	}

@@ -1,6 +1,7 @@
 package cover
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -28,14 +29,14 @@ func BenchmarkBallsParallel(b *testing.B) {
 		mat := benchMatrix(b, n)
 		b.Run("seq/n="+strconv.Itoa(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := BallsParallel(mat, 3, WeightRadiusBound, 1); err != nil {
+				if _, err := BallsCtx(context.Background(), mat, 3, WeightRadiusBound, 1, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run("par/n="+strconv.Itoa(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := BallsParallel(mat, 3, WeightRadiusBound, runtime.NumCPU()); err != nil {
+				if _, err := BallsCtx(context.Background(), mat, 3, WeightRadiusBound, runtime.NumCPU(), nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -49,14 +50,14 @@ func BenchmarkGreedyBallsParallel(b *testing.B) {
 	mat := benchMatrix(b, 2000)
 	b.Run("seq", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := GreedyBallsParallel(mat, 3, 1); err != nil {
+			if _, err := GreedyBallsCtx(context.Background(), mat, 3, 1, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("par", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := GreedyBallsParallel(mat, 3, runtime.NumCPU()); err != nil {
+			if _, err := GreedyBallsCtx(context.Background(), mat, 3, runtime.NumCPU(), nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -69,7 +70,10 @@ func BenchmarkGreedyBallsParallel(b *testing.B) {
 // shells, at 1 worker vs all CPUs.
 func BenchmarkGreedyBallsBitset(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	bit := metric.NewBitKernel(dataset.Planted(rng, 8192, 8, 6, 3, 1))
+	bit, err := metric.NewBitKernelCtx(context.Background(), dataset.Planted(rng, 8192, 8, 6, 3, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, w := range []struct {
 		name    string
 		workers int
@@ -77,7 +81,7 @@ func BenchmarkGreedyBallsBitset(b *testing.B) {
 		b.Run(w.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := GreedyBallsParallel(bit, 3, w.workers); err != nil {
+				if _, err := GreedyBallsCtx(context.Background(), bit, 3, w.workers, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -92,7 +96,7 @@ func BenchmarkBallsKernel(b *testing.B) {
 	mat := benchMatrix(b, 2000)
 	b.Run("countingsort", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := BallsParallel(mat, 3, WeightRadiusBound, 1); err != nil {
+			if _, err := BallsCtx(context.Background(), mat, 3, WeightRadiusBound, 1, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -113,14 +117,14 @@ func BenchmarkTrueDiameterIncremental(b *testing.B) {
 	mat := benchMatrix(b, 400)
 	b.Run("incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := BallsParallel(mat, 3, WeightTrueDiameter, 1); err != nil {
+			if _, err := BallsCtx(context.Background(), mat, 3, WeightTrueDiameter, 1, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("recompute-ref", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sets, err := BallsParallel(mat, 3, WeightRadiusBound, 1)
+			sets, err := BallsCtx(context.Background(), mat, 3, WeightRadiusBound, 1, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -131,7 +135,7 @@ func BenchmarkTrueDiameterIncremental(b *testing.B) {
 	})
 }
 
-// ballsSortRef is the pre-kernel Balls implementation — per-center
+// ballsSortRef is the pre-kernel BallsCtx implementation — per-center
 // sort.Slice plus a per-ball member copy and re-sort — retained only as
 // the benchmark baseline for BenchmarkBallsKernel.
 func ballsSortRef(mat *metric.Matrix, k int) ([]Set, error) {

@@ -119,8 +119,8 @@ func countingSortCutoff(n int) int {
 }
 
 // ballsForCenter emits the distinct balls S_{c,·} with at least k
-// members, in growing-radius order — the per-center unit of work Balls
-// shards across the worker pool.
+// members, in growing-radius order — the per-center unit of work
+// BallsCtx shards across the worker pool.
 //
 // A ball's member list is materialized by one O(n) threshold scan of
 // the distance row (already sorted by index), so no per-ball sort is

@@ -1,12 +1,15 @@
 package exact
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"kanon/internal/core"
 	"kanon/internal/metric"
+	"kanon/internal/obs"
 	"kanon/internal/relation"
 )
 
@@ -74,9 +77,9 @@ func TestSolveAgainstBruteForce(t *testing.T) {
 		}
 		tab := randomTable(rng, n, 3, 2)
 		for _, obj := range []Objective{Stars, DiameterSum} {
-			r, err := Solve(tab, k, obj)
+			r, err := SolveCtx(context.Background(), tab, k, obj, nil)
 			if err != nil {
-				t.Fatalf("trial %d: Solve: %v", trial, err)
+				t.Fatalf("trial %d: SolveCtx: %v", trial, err)
 			}
 			want := bruteForceOPT(tab, k, obj)
 			if r.Value != want {
@@ -120,7 +123,7 @@ func TestSolveKnownInstances(t *testing.T) {
 		t.Errorf("OPT(duplicated, 2) = %d, want 0", v)
 	}
 	// Diameter-sum objective on the same: min diameter sum 0.
-	r, err := Solve(dup, 2, DiameterSum)
+	r, err := SolveCtx(context.Background(), dup, 2, DiameterSum, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,14 +134,14 @@ func TestSolveKnownInstances(t *testing.T) {
 
 func TestSolveErrors(t *testing.T) {
 	tab := relation.MustFromVectors([][]int{{1}, {2}})
-	if _, err := Solve(tab, 0, Stars); err == nil {
+	if _, err := SolveCtx(context.Background(), tab, 0, Stars, nil); err == nil {
 		t.Error("accepted k=0")
 	}
-	if _, err := Solve(tab, 3, Stars); err == nil {
+	if _, err := SolveCtx(context.Background(), tab, 3, Stars, nil); err == nil {
 		t.Error("accepted n < k")
 	}
 	big := randomTable(rand.New(rand.NewSource(1)), MaxDPRows+1, 2, 2)
-	if _, err := Solve(big, 2, Stars); err == nil {
+	if _, err := SolveCtx(context.Background(), big, 2, Stars, nil); err == nil {
 		t.Error("accepted n > MaxDPRows")
 	}
 }
@@ -149,12 +152,12 @@ func TestSolveInfeasibleSizeGap(t *testing.T) {
 	// from {3,4,5}: 3+4 = 7 ✓ feasible. True infeasibility needs
 	// n in (k, 2k) split impossibility… n=5,k=4: single group of 5 ≤ 7 ✓.
 	// In fact any n ≥ k is feasible (one group, split if > 2k−1; n ≥ k
-	// guarantees chunks ≥ k). So Solve must succeed for all n ≥ k ≤ DP cap.
+	// guarantees chunks ≥ k). So SolveCtx must succeed for all n ≥ k ≤ DP cap.
 	rng := rand.New(rand.NewSource(2))
 	for k := 2; k <= 4; k++ {
 		for n := k; n <= 12; n++ {
 			tab := randomTable(rng, n, 3, 2)
-			if _, err := Solve(tab, k, Stars); err != nil {
+			if _, err := SolveCtx(context.Background(), tab, k, Stars, nil); err != nil {
 				t.Errorf("n=%d k=%d: %v", n, k, err)
 			}
 		}
@@ -167,11 +170,11 @@ func TestBranchBoundMatchesDP(t *testing.T) {
 		k := 2 + rng.Intn(2)
 		n := k + rng.Intn(10)
 		tab := randomTable(rng, n, 4, 3)
-		dp, err := Solve(tab, k, Stars)
+		dp, err := SolveCtx(context.Background(), tab, k, Stars, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bb, err := BranchBound(tab, k, 0)
+		bb, err := BranchBound(tab, k, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +193,7 @@ func TestBranchBoundMatchesDP(t *testing.T) {
 func TestBranchBoundBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	tab := randomTable(rng, 16, 6, 4)
-	r, err := BranchBound(tab, 3, 50)
+	r, err := BranchBound(tab, 3, 50, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,12 +206,45 @@ func TestBranchBoundBudget(t *testing.T) {
 	}
 }
 
+// TestBranchBoundTraced: a live span leaves the result unchanged, and
+// its exact.nodes counter equals Result.Nodes, with and without the
+// node budget cutting the search short.
+func TestBranchBoundTraced(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, c := range []struct {
+		n, k     int
+		maxNodes int64
+	}{{9, 2, 0}, {10, 3, 0}, {16, 3, 50}} {
+		tab := randomTable(rng, c.n, 4, 3)
+		plain, err := BranchBound(tab, c.k, c.maxNodes, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := obs.New()
+		root := tr.Start("test")
+		traced, err := BranchBound(tab, c.k, c.maxNodes, root)
+		root.End()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if traced.Optimal != (c.maxNodes == 0) {
+			t.Errorf("n=%d k=%d budget %d: Optimal = %v", c.n, c.k, c.maxNodes, traced.Optimal)
+		}
+		if !reflect.DeepEqual(plain, traced) {
+			t.Errorf("n=%d k=%d: result changed under tracing: %+v vs %+v", c.n, c.k, plain, traced)
+		}
+		if got := tr.Snapshot().Counters["exact.nodes"]; got != traced.Nodes {
+			t.Errorf("n=%d k=%d: exact.nodes = %d, want Result.Nodes = %d", c.n, c.k, got, traced.Nodes)
+		}
+	}
+}
+
 func TestBranchBoundErrors(t *testing.T) {
 	tab := relation.MustFromVectors([][]int{{1}, {2}})
-	if _, err := BranchBound(tab, 0, 0); err == nil {
+	if _, err := BranchBound(tab, 0, 0, nil); err == nil {
 		t.Error("accepted k=0")
 	}
-	if _, err := BranchBound(tab, 3, 0); err == nil {
+	if _, err := BranchBound(tab, 3, 0, nil); err == nil {
 		t.Error("accepted n < k")
 	}
 }

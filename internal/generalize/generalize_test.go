@@ -1,7 +1,10 @@
 package generalize
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -179,7 +182,7 @@ func TestHospitalExample(t *testing.T) {
 // generalization metric should recover the paper's grouping on its own.
 func TestAnonymizeFindsHospitalGrouping(t *testing.T) {
 	tab, scheme := hospital()
-	r, err := Anonymize(tab, 2, scheme)
+	r, err := AnonymizeCtx(context.Background(), tab, 2, scheme, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,20 +214,20 @@ func TestApplyValidation(t *testing.T) {
 
 func TestAnonymizeErrors(t *testing.T) {
 	tab, scheme := hospital()
-	if _, err := Anonymize(tab, 0, scheme); err == nil {
+	if _, err := AnonymizeCtx(context.Background(), tab, 0, scheme, 1); err == nil {
 		t.Error("accepted k=0")
 	}
-	if _, err := Anonymize(tab, 9, scheme); err == nil {
+	if _, err := AnonymizeCtx(context.Background(), tab, 9, scheme, 1); err == nil {
 		t.Error("accepted n < k")
 	}
-	if _, err := Anonymize(tab, 2, scheme[:2]); err == nil {
+	if _, err := AnonymizeCtx(context.Background(), tab, 2, scheme[:2], 1); err == nil {
 		t.Error("accepted wrong-length scheme")
 	}
 }
 
 func TestAnonymizeK1(t *testing.T) {
 	tab, scheme := hospital()
-	r, err := Anonymize(tab, 1, scheme)
+	r, err := AnonymizeCtx(context.Background(), tab, 1, scheme, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +279,7 @@ func TestAnonymizeRandomHierarchies(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r, err := Anonymize(tab, 3, Scheme{h, h, h})
+	r, err := AnonymizeCtx(context.Background(), tab, 3, Scheme{h, h, h}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,5 +288,48 @@ func TestAnonymizeRandomHierarchies(t *testing.T) {
 	}
 	if r.Cost <= 0 {
 		t.Error("random 18-row table should have positive generalization cost")
+	}
+}
+
+// TestAnonymizeCtxWorkersAndCancel: the release is byte-identical for
+// workers 1 and 4 on a table large enough for the matrix fill to
+// shard, and a canceled context surfaces as context.Canceled.
+func TestAnonymizeCtxWorkersAndCancel(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	h := NewHierarchy("*")
+	for g := 0; g < 3; g++ {
+		mid := "g" + string(rune('A'+g))
+		h.MustAdd(mid, "*")
+		for v := 0; v < 4; v++ {
+			h.MustAdd(string(rune('a'+g*4+v)), mid)
+		}
+	}
+	tab := relation.NewTable(relation.NewSchema("x", "y", "z"))
+	for i := 0; i < 300; i++ {
+		row := make([]string, 3)
+		for j := range row {
+			row[j] = string(rune('a' + rng.Intn(12)))
+		}
+		if err := tab.AppendStrings(row...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scheme := Scheme{h, h, h}
+	seq, err := AnonymizeCtx(context.Background(), tab, 3, scheme, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := AnonymizeCtx(context.Background(), tab, 3, scheme, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(seq, par) {
+		t.Error("workers=4 release differs from workers=1")
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := AnonymizeCtx(ctx, tab, 3, scheme, 4); !errors.Is(err, context.Canceled) {
+		t.Errorf("canceled context: err = %v, want context.Canceled", err)
 	}
 }

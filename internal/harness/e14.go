@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"math/rand"
 
 	"kanon/internal/algo"
@@ -58,7 +59,7 @@ func runE14(cfg Config) ([]*Table, error) {
 
 				// Small-n exact comparison.
 				sub := tab.SubTable(firstN(12))
-				opt, err := exact.SolveWeighted(sub, k, w)
+				opt, err := exact.SolveWeightedCtx(context.Background(), sub, k, w, nil)
 				if err != nil {
 					return nil, err
 				}

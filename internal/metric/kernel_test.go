@@ -321,7 +321,10 @@ func TestBitKernelAllPackedColumns(t *testing.T) {
 			a.Intern(strconv.Itoa(v))
 		}
 	}
-	bit := NewBitKernel(tab)
+	bit, err := NewBitKernelCtx(context.Background(), tab)
+	if err != nil {
+		t.Fatal(err)
+	}
 	mat := NewMatrix(tab)
 	checkKernelsAgree(t, tab, mat, bit, rng)
 }
@@ -453,7 +456,10 @@ func TestBitKernelShells(t *testing.T) {
 					tab.Schema().Attribute(j).Intern("p" + strconv.Itoa(v))
 				}
 			}
-			bit := NewBitKernel(tab)
+			bit, err := NewBitKernelCtx(context.Background(), tab)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if bit.packedCols != 2 {
 				t.Fatalf("n=%d m=%d: %d packed columns, want 2", n, m, bit.packedCols)
 			}

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"path"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -706,10 +708,11 @@ func (m *Manager) evictExpired(now time.Time) {
 		m.expired.Inc()
 		m.log(j, slog.LevelDebug, "job_expired")
 	}
-	manifests, _, err := m.cfg.Store.Jobs()
+	manifests, skipped, err := m.cfg.Store.Jobs()
 	if err != nil {
 		return
 	}
+	m.sweepTrash(skipped, now)
 	cutoff := now.Add(-m.cfg.ResultTTL)
 	for _, man := range manifests {
 		if !man.Terminal() || man.FinishedAt == nil || man.FinishedAt.After(cutoff) {
@@ -723,6 +726,32 @@ func (m *Manager) evictExpired(now time.Time) {
 		}
 		if reaped {
 			m.logBare(slog.LevelDebug, "job_reaped", slog.String("run_id", man.ID))
+		}
+	}
+}
+
+// trashGrace is how old a jobs/.<id>.rm-* directory must be before the
+// janitor treats it as orphaned rather than as a delete still in flight
+// on some node.
+const trashGrace = time.Minute
+
+// sweepTrash removes the hidden jobs/.<id>.rm-* directories that
+// store.Local.RemoveAll leaves behind when its process dies between
+// renaming a job tree aside and deleting it. Store.Jobs reports them as
+// skipped; ValidateID rejects a leading '.', so no live job can match.
+func (m *Manager) sweepTrash(skipped []string, now time.Time) {
+	be := m.cfg.Store.Backend()
+	for _, name := range skipped {
+		if !strings.HasPrefix(name, ".") || !strings.Contains(name, ".rm-") {
+			continue
+		}
+		rel := path.Join("jobs", name)
+		if _, mtime, err := be.Stat(rel); err != nil || now.Sub(mtime) < trashGrace {
+			continue
+		}
+		if err := be.RemoveAll(rel); err != nil {
+			m.logBare(slog.LevelWarn, "trash_sweep_failed",
+				slog.String("dir", rel), slog.String("error", err.Error()))
 		}
 	}
 }

@@ -328,6 +328,48 @@ func TestJanitorReapsDirectories(t *testing.T) {
 	}
 }
 
+// TestJanitorSweepsOrphanedTrash: a jobs/.<id>.rm-* directory left by
+// a RemoveAll that crashed between its rename and its delete is gone
+// after one janitor pass and no longer reported as skipped; one younger
+// than trashGrace may be a delete in flight and is kept.
+func TestJanitorSweepsOrphanedTrash(t *testing.T) {
+	st := openTestStore(t)
+	m := newTestManager(t, Config{Store: st})
+	orphan := filepath.Join(st.Dir(), "jobs", ".job-x.rm-123", "job-x")
+	fresh := filepath.Join(st.Dir(), "jobs", ".job-y.rm-456")
+	for _, dir := range []string{orphan, fresh} {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(orphan, "manifest.json"), []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(filepath.Dir(orphan), old, old); err != nil {
+		t.Fatal(err)
+	}
+	if _, skipped, err := st.Jobs(); err != nil || len(skipped) != 2 {
+		t.Fatalf("before the sweep: skipped = %v, err = %v; want both trash dirs", skipped, err)
+	}
+
+	m.evictExpired(time.Now())
+
+	if _, err := os.Stat(filepath.Dir(orphan)); !os.IsNotExist(err) {
+		t.Errorf("orphaned trash survived the janitor pass: %v", err)
+	}
+	if _, err := os.Stat(fresh); err != nil {
+		t.Errorf("trash younger than trashGrace was swept: %v", err)
+	}
+	_, skipped, err := st.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(skipped) != 1 || skipped[0] != ".job-y.rm-456" {
+		t.Errorf("after the sweep: skipped = %v, want only the fresh trash dir", skipped)
+	}
+}
+
 // TestRestartReclaimsOwnLease: a cluster node restarted under the same
 // NodeID re-claims the job its previous life was running at once, long
 // before that life's lease would expire — restart recovery does not
